@@ -63,6 +63,7 @@ from repro.sharding import (
     ReplicatedShardedIndex,
     ShardedIndex,
 )
+from repro.sharding.executor import BACKENDS
 from repro.telemetry import EventLog
 from repro.updates import MixedRunResult, run_mixed_workload
 
@@ -98,8 +99,7 @@ class Scale:
     compaction_queries: int = 400      # batch replayed before/after compact
     compaction_delete_fraction: float = 0.6  # rows tombstoned first
     # Sharded serving engine (sharding subsystem; beyond the paper):
-    shard_counts: tuple[int, ...] = (1, 2, 4, 8)   # K sweep
-    shard_workers: tuple[int, ...] = (1, 2, 4)     # thread pool widths
+    shard_counts: tuple[int, ...] = (1, 2, 4, 8)   # K sweep (inline)
     shard_queries: int = 800           # batch size per configuration
     # Serving batches are high-QPS point-ish lookups: small windows keep
     # most queries inside one spatial tile, which is where fan-out
@@ -109,11 +109,11 @@ class Scale:
     # a stream of *fresh* query batches per dispatch backend at one
     # contended configuration.  A dedicated dataset size (like
     # rebalance_n) keeps per-query crack work substantial even at
-    # smoke scale, and enough shards/workers that thread dispatch is
-    # genuinely GIL-contended.
+    # smoke scale, and enough shards/workers that the process pool has
+    # several sub-batches to overlap.
     backend_n: int = 60_000            # face-off dataset size
     backend_shards: int = 8            # K (>= 4: the acceptance regime)
-    backend_workers: int = 4           # W (enough lanes to contend)
+    backend_workers: int = 4           # W: process pool width
     backend_stream: int = 6            # batches per stream (first = warmup)
     backend_repeats: int = 3           # fresh-engine streams; median reported
     # Fraction of rows tombstoned before the stream: the face-off runs
@@ -169,7 +169,6 @@ SCALES: dict[str, Scale] = {
         mixed_ratios=(0.0, 0.3),
         compaction_queries=100,
         shard_counts=(1, 2, 4),
-        shard_workers=(1, 2),
         shard_queries=200,
         rebalance_n=60_000,
         rebalance_ops=360,
@@ -1347,25 +1346,25 @@ def compaction_experiment(scale: Scale) -> ExperimentReport:
 # Shard scaling (sharding subsystem; beyond the paper)
 # ----------------------------------------------------------------------
 def shard_scaling(scale: Scale) -> ExperimentReport:
-    """Batch throughput, pruning, and balance across shard/worker counts.
+    """Batch throughput, pruning, and balance across shard counts.
 
     The serving-engine experiment: one batch of small ("point-ish")
-    uniform queries is executed at every ``(K shards, W workers)``
-    combination of the scale, each over a fresh copy of the dataset.
-    ``K=1 W=1`` is the sequential single-index baseline — one QUASII
-    behind the engine facade — and a raw unsharded QUASII runs the same
-    batch as an extra reference.  Sharding wins twice: queries prune
-    shards whose MBB misses the window, and the shards they do touch
-    crack sub-arrays of n/K rows instead of n (on multi-core hardware
-    the thread pool additionally overlaps shard work; W=1 exercises the
-    sequential fallback).  A second table contrasts the partitioners
-    under skewed 90/10 hotspot traffic, where pruning and balance pull
-    in opposite directions.
+    uniform queries is executed inline at every shard count ``K`` of the
+    scale, each over a fresh copy of the dataset.  ``K=1`` is the
+    sequential single-index baseline — one QUASII behind the engine
+    facade — and a raw unsharded QUASII runs the same batch as an extra
+    reference.  Sharding wins twice: queries prune shards whose MBB
+    misses the window, and the shards they do touch crack sub-arrays of
+    n/K rows instead of n.  A backend face-off then serves the same
+    fresh-batch stream inline and on the process pool, and a last table
+    contrasts the partitioners under skewed 90/10 hotspot traffic,
+    where pruning and balance pull in opposite directions.
     """
     report = ExperimentReport(
         "shard-scaling",
         "Sharded serving engine: batch throughput vs the sequential "
-        "single-index baseline across shard counts K and worker counts W",
+        "single-index baseline across shard counts K, and inline vs "
+        "process-pool dispatch",
     )
     ds = _uniform(scale)
     queries = uniform_workload(
@@ -1379,18 +1378,13 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
     for q in queries:
         reference.query(q)
     ref_seconds = time.perf_counter() - t0
-    # The K=1 W=1 sequential single-index baseline always runs, and runs
-    # first, regardless of what the scale's sweep tuples contain.
-    configs = [(1, 1)] + [
-        (k, w)
-        for k in sorted(set(scale.shard_counts))
-        for w in sorted(set(scale.shard_workers))
-        if w <= k and (k, w) != (1, 1)
-    ]
+    # The K=1 single-index baseline always runs, and runs first,
+    # regardless of what the scale's sweep tuple contains.
+    counts = [1] + sorted(set(scale.shard_counts) - {1})
     base_seconds = 0.0
     rows: list[list[object]] = []
-    best_parallel_speedup = 0.0
-    for k, w in configs:
+    best_speedup = 0.0
+    for k in counts:
         engine = ShardedIndex(ds.store.copy(), n_shards=k, partitioner="str")
         t0 = time.perf_counter()
         engine.build()
@@ -1398,24 +1392,20 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
         # Backend pinned so the table means the same thing regardless of
         # any QUASII_EXECUTOR_BACKEND in the environment; the backend
         # face-off below is the deliberate comparison.
-        batch = QueryExecutor(
-            engine,
-            max_workers=w,
-            backend="sequential" if w <= 1 else "threads",
-        ).run(queries)
-        if (k, w) == (1, 1):
+        batch = QueryExecutor(engine, backend="sequential").run(queries)
+        if k == 1:
             base_seconds = batch.seconds
         fanned = engine.stats.shards_visited + engine.stats.shards_pruned
         pruned_pct = (
             100.0 * engine.stats.shards_pruned / fanned if fanned else 0.0
         )
         speedup = base_seconds / batch.seconds if batch.seconds > 0 else 0.0
-        if k >= 4 and w > 1:
-            best_parallel_speedup = max(best_parallel_speedup, speedup)
-        label = "single-index baseline" if (k, w) == (1, 1) else batch.mode
+        if k >= 4:
+            best_speedup = max(best_speedup, speedup)
+        label = "single-index baseline" if k == 1 else "sequential"
         rows.append(
             [
-                f"K={k} W={w} ({label})",
+                f"K={k} ({label})",
                 round(build_seconds, 4),
                 round(batch.seconds, 4),
                 round(batch.throughput(), 1),
@@ -1445,7 +1435,7 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
             "partition build (s)",
             "batch (s)",
             "queries/s",
-            "x baseline (K=1 W=1)",
+            "x baseline (K=1)",
             "shards pruned",
             "balance (max/mean)",
             "shard visits",
@@ -1453,21 +1443,20 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
         rows,
     )
     report.add_note(
-        "expected shape: K>=4 with W>1 beats the sequential single-index "
-        "baseline on batch throughput (smaller per-shard crack ranges + "
-        "MBB pruning; plus core overlap when the host has them); "
-        f"measured best at K>=4, W>1: {best_parallel_speedup:.2f}x"
+        "expected shape: K>=4 beats the sequential single-index baseline "
+        "on batch throughput (smaller per-shard crack ranges + MBB "
+        f"pruning); measured best at K>=4: {best_speedup:.2f}x"
     )
     # Backend face-off: a delete-heavy serving stream of *fresh*
-    # batches through every dispatch backend at one contended
-    # configuration.  Two deliberate workload choices.  Fresh batches,
-    # because repeating a frozen batch measures a fully-refined index —
-    # the regime where QUASII has stopped cracking; fresh traffic keeps
-    # the crack work coming.  Tombstones, because the face-off models
-    # the window between maintenance compactions that every updating
-    # deployment serves from: driver-side shard indexes must filter
-    # dead rows out of every candidate set, while segment publication
-    # packs live rows only — the worker snapshot is compacted for free.
+    # batches through every dispatch backend at one configuration.
+    # Two deliberate workload choices.  Fresh batches, because repeating
+    # a frozen batch measures a fully-refined index — the regime where
+    # QUASII has stopped cracking; fresh traffic keeps the crack work
+    # coming.  Tombstones, because the face-off models the window
+    # between maintenance compactions that every updating deployment
+    # serves from: driver-side shard indexes must filter dead rows out
+    # of every candidate set, while segment publication packs live rows
+    # only — the worker snapshot is compacted for free.
     # Per (backend, repeat): a fresh STR-partitioned engine over a
     # dedicated backend_n-row dataset, backend_delete_fraction of its
     # rows tombstoned, one warmup batch (crack-in, spin the pool,
@@ -1510,7 +1499,7 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
 
     backend_qps: dict[str, float] = {}
     backend_rows: list[list[object]] = []
-    for backend in ("sequential", "threads", "processes"):
+    for backend in BACKENDS:
         seconds = sorted(
             _backend_stream(backend, r) for r in range(scale.backend_repeats)
         )
@@ -1524,7 +1513,8 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
             ]
         )
     seq_qps = backend_qps["sequential"]
-    for row, backend in zip(backend_rows, ("sequential", "threads", "processes")):
+    processes_qps = backend_qps["processes"]
+    for row, backend in zip(backend_rows, BACKENDS):
         row.append(
             f"{backend_qps[backend] / seq_qps:.2f}x" if seq_qps else "-"
         )
@@ -1536,22 +1526,19 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
         ["backend", "stream (s)", "queries/s", "x sequential"],
         backend_rows,
     )
-    threads_qps = backend_qps["threads"]
-    processes_qps = backend_qps["processes"]
     report.add_note(
         "expected shape: on a delete-heavy fresh-traffic stream the "
-        "process backend beats thread dispatch — driver-side shard "
-        "indexes (both sequential and thread serving) filter "
-        "tombstoned rows out of every candidate set, while worker "
-        "processes crack compact live-row-only shared-memory snapshots "
-        "(and on multi-core hosts additionally overlap per-shard crack "
-        "work that threads only time-slice under the GIL); measured at "
-        f"K={bk} W={bw}: threads {threads_qps:.0f} q/s vs "
+        "process backend beats inline dispatch — driver-side shard "
+        "indexes filter tombstoned rows out of every candidate set, "
+        "while worker processes crack compact live-row-only "
+        "shared-memory snapshots (and on multi-core hosts additionally "
+        "overlap per-shard crack work); measured at "
+        f"K={bk} W={bw}: sequential {seq_qps:.0f} q/s vs "
         f"processes {processes_qps:.0f} q/s "
         + (
-            f"({processes_qps / threads_qps:.2f}x)"
-            if threads_qps
-            else "(threads stream did not complete)"
+            f"({processes_qps / seq_qps:.2f}x)"
+            if seq_qps
+            else "(sequential stream did not complete)"
         )
     )
     # Headline metrics for the regression gate (names ending
@@ -1559,10 +1546,10 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
     # floors; the speedup is the acceptance-critical figure).
     report.metrics = {
         "headline": {
-            "threads_queries_per_second": round(threads_qps, 1),
+            "sequential_queries_per_second": round(seq_qps, 1),
             "processes_queries_per_second": round(processes_qps, 1),
-            "process_over_thread_speedup": (
-                round(processes_qps / threads_qps, 3) if threads_qps else 0.0
+            "process_over_sequential_speedup": (
+                round(processes_qps / seq_qps, 3) if seq_qps else 0.0
             ),
         }
     }

@@ -11,10 +11,9 @@ thin wrapper around :func:`run_diff`:
 
 Headline metrics are the few numbers per verb worth gating on — soak
 latency percentiles, query-API speedup ratios, the rebalanced engine's
-balance/latency — extracted by :func:`extract_headline`.  New results
-carry them directly under ``metrics.headline``; for older files the
-extractor falls back to parsing the rendered tables, so a freshly built
-gate can still diff against a pre-gate baseline.
+balance/latency — which each gated verb writes under
+``metrics.headline`` and :func:`extract_headline` reads back.  A verb
+without that payload is not gated.
 
 A drift only *breaches* when it is both relatively large (worse than
 ``tolerance``, default 25% — bench runs on shared CI hardware are
@@ -84,94 +83,20 @@ def noise_floor(name: str) -> float:
 def extract_headline(doc: dict) -> dict[str, float]:
     """The gate-worthy metrics of one ``repro-bench/1`` document.
 
-    Prefers the explicit ``metrics.headline`` payload (written by the
-    soak/query-api/rebalance experiments); falls back to parsing the
-    rendered tables so pre-headline baselines remain diffable.  Verbs
-    with no recognized headline yield ``{}`` and are skipped by the
-    comparison — the gate covers the serving-engine verbs, not every
-    figure reproduction.
+    Reads the explicit ``metrics.headline`` payload (written by the
+    serving-engine verbs: soak, query-api, rebalance, replication,
+    shard-scaling).  Documents without one yield ``{}`` and are skipped
+    by the comparison — the gate covers the serving-engine verbs, not
+    every figure reproduction.
     """
     headline = doc.get("metrics", {}).get("headline")
-    if isinstance(headline, dict):
-        return {
-            str(k): float(v)
-            for k, v in headline.items()
-            if isinstance(v, (int, float))
-        }
-    verb = doc.get("verb")
-    if verb == "soak":
-        return _soak_headline_from_windows(doc)
-    if verb == "query-api":
-        return _query_api_headline_from_tables(doc)
-    if verb == "rebalance":
-        return _rebalance_headline_from_tables(doc)
-    return {}
-
-
-def _soak_headline_from_windows(doc: dict) -> dict[str, float]:
-    """Soak fallback: per-window query percentiles from ``metrics.windows``."""
-    windows = doc.get("metrics", {}).get("windows", [])
-    p50s, p99s = [], []
-    for w in windows:
-        hist = w.get("histograms", {}).get("query.seconds", {})
-        if hist.get("count"):
-            p50s.append(float(hist["p50"]))
-            p99s.append(float(hist["p99"]))
-    if not p50s:
+    if not isinstance(headline, dict):
         return {}
-    p50s.sort()
     return {
-        "query_p50_ms": p50s[len(p50s) // 2] * 1e3,
-        "worst_window_p99_ms": max(p99s) * 1e3,
+        str(k): float(v)
+        for k, v in headline.items()
+        if isinstance(v, (int, float))
     }
-
-
-def _ratio(cell: str) -> float | None:
-    """Parse a table cell like ``'3.42x'`` into a float."""
-    text = str(cell).strip().rstrip("x")
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def _query_api_headline_from_tables(doc: dict) -> dict[str, float]:
-    """Query-API fallback: 'batch speedup' column of the batch table."""
-    out: dict[str, float] = {}
-    for table in doc.get("tables", []):
-        headers = table.get("headers", [])
-        if "batch speedup" not in headers:
-            continue
-        col = headers.index("batch speedup")
-        for row in table.get("rows", []):
-            value = _ratio(row[col]) if len(row) > col else None
-            if value is not None:
-                out[f"batch_speedup_{str(row[0]).lower()}"] = value
-    return out
-
-
-def _rebalance_headline_from_tables(doc: dict) -> dict[str, float]:
-    """Rebalance fallback: the 'Whole run' table's rebalanced row."""
-    for table in doc.get("tables", []):
-        if table.get("title") != "Whole run":
-            continue
-        headers = table.get("headers", [])
-        try:
-            peak = headers.index("peak balance")
-            final = headers.index("final balance")
-            p50 = headers.index("p50 (ms)")
-            p99 = headers.index("p99 (ms)")
-        except ValueError:
-            return {}
-        for row in table.get("rows", []):
-            if row and str(row[0]) == "rebalanced":
-                return {
-                    "rebalanced_peak_balance": float(row[peak]),
-                    "rebalanced_final_balance": float(row[final]),
-                    "rebalanced_p50_ms": float(row[p50]),
-                    "rebalanced_p99_ms": float(row[p99]),
-                }
-    return {}
 
 
 # ---------------------------------------------------------------------------

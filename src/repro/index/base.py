@@ -258,11 +258,7 @@ class SpatialIndex(abc.ABC):
         the batch.  Results come back in submission order and match a
         Python loop of :meth:`execute` calls exactly.
         """
-        queries = [as_query(q) for q in queries]
-        for q in queries:
-            self._gate_dim(q)
-        self._check_epoch()
-        return self._execute_batch(queries)
+        return self._execute_batch(self._admit_batch(queries))
 
     def plan(self, query: Query | RangeQuery) -> QueryPlan:
         """Report what this query *would* touch, without executing it.
@@ -286,6 +282,16 @@ class SpatialIndex(abc.ABC):
     def _gate(self, query: Query) -> None:
         self._gate_dim(query)
         self._check_epoch()
+
+    def _admit_batch(
+        self, queries: Sequence[Query | RangeQuery]
+    ) -> list[Query]:
+        """Normalize a batch and run the dimension + epoch gate once."""
+        admitted = [as_query(q) for q in queries]
+        for q in admitted:
+            self._gate_dim(q)
+        self._check_epoch()
+        return admitted
 
     # -- shared execution skeleton --------------------------------------
     def _timed_one(self, query: Query) -> QueryResult:

@@ -261,7 +261,7 @@ class ProcessPool:
     ) -> dict[int, tuple[list[int], list[QueryResult], float]]:
         """Serve one routed batch: ``sid -> (query idxs, results, seconds)``.
 
-        ``queues`` is the executor's routing product (query indexes per
+        ``queues`` is the engine's routing product (query indexes per
         shard sid).  Returns, per shard, the decoded sub-batch results
         aligned with its index list plus the worker-measured sub-batch
         wall-clock (the ``shard.batch.seconds`` sample).

@@ -73,7 +73,7 @@ class ResultBatchWire:
     payloads exactly as a local execution would have produced them.
     ``seconds`` carries the per-query equal-share timings the shard
     index stamped, so driver-side latency accounting matches the
-    thread backend sample for sample.
+    inline backend sample for sample.
     """
 
     counts: np.ndarray  # (q,) int64 match counts

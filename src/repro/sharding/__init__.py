@@ -15,8 +15,9 @@ intact:
   :class:`~repro.index.base.MutableSpatialIndex` contract over K shards
   with pruned fan-out queries, merged + deduplicated results, and
   ownership-routed inserts/deletes.
-* :class:`QueryExecutor` / :class:`BatchResult` — batch execution with
-  shard affinity on a thread pool, and a sequential fallback.
+* :class:`QueryExecutor` / :class:`BatchResult` — batch execution
+  through the engine's one dispatch pipeline, with per-shard
+  sub-batches run inline or on a process pool.
 * :class:`WorkloadProfile` / :class:`ShardLoad` — the observed query
   distribution: recent query centroids plus per-shard load deltas.
 * :class:`Rebalancer` / :class:`RebalanceResult` — query-driven shard
@@ -45,7 +46,7 @@ engine against the static STR baseline.  Every verb is documented in
 ``docs/BENCH.md``.
 """
 
-from repro.sharding.executor import BatchResult, QueryExecutor
+from repro.sharding.executor import QueryExecutor
 from repro.sharding.maintenance import (
     MaintenancePolicy,
     MaintenanceReport,
@@ -73,7 +74,11 @@ from repro.sharding.replication import (
     ShardReplica,
 )
 from repro.sharding.shard import Shard
-from repro.sharding.sharded_index import IndexFactory, ShardedIndex
+from repro.sharding.sharded_index import (
+    BatchResult,
+    IndexFactory,
+    ShardedIndex,
+)
 
 __all__ = [
     "BatchResult",

@@ -1,34 +1,34 @@
-"""Batch query execution across shards, on a thread pool or sequentially.
+"""Batch query execution across shards, inline or on a process pool.
 
 Serving engines amortize dispatch over *batches*: the
-:class:`QueryExecutor` takes a list of range queries, plans each one
-against the shard MBBs (the pruning step, done on the coordinating
-thread so counters never race), then executes with **shard affinity** —
-one task per shard, each running that shard's portion of the batch in
-submission order.  A shard's index is therefore only ever touched by a
-single thread at a time, which makes the scheme safe for *incremental*
-shard indexes whose queries physically reorganize their store (QUASII
-cracking).  NumPy releases the GIL inside the hot kernels (the
-vectorized intersection scans and partition passes), so shard tasks
-overlap on multi-core machines; on a single core the pool degrades to
-roughly sequential execution plus a small dispatch cost.
+:class:`QueryExecutor` takes a list of range queries and runs them
+through the engine's one dispatch pipeline — every query is routed once
+against the shard MBBs on the driver (so prune counters never race),
+each shard answers its portion of the batch as one sub-batch in
+submission order, and the partial results are merged once.  QUASII
+queries physically reorganize their shard's data, so every shard index
+has a single writer: the driver itself, or the one worker process that
+owns the shard.
 
-``max_workers <= 1`` selects the plain sequential fallback (no threads
-at all) — useful as a baseline and on interpreters/platforms where
-thread pools are unwanted.
+Only the sub-batch runner varies, and it is picked by the executor's
+backend (:data:`BACKENDS`):
 
-Threads share the GIL; the ``backend`` seam escapes it.  Every executor
-resolves to one of three backends — ``"sequential"``, ``"threads"``
-(the thread-pooled fan-out above), or ``"processes"`` (a persistent
-:class:`~repro.parallel.pool.ProcessPool` serving per-shard sub-batches
-from shared-memory snapshots).  An explicit ``backend=`` argument wins;
-otherwise ``QUASII_EXECUTOR_BACKEND`` is consulted (only when the
-resolved ``max_workers`` exceeds 1, so single-worker setups keep their
-sequential contract); otherwise the historical default stands:
-``threads`` when ``max_workers > 1``, else ``sequential``.  Replicated
-engines route reads through per-shard replica picks, which the process
-tier bypasses by design — asking for ``backend="processes"`` on one
-raises, and an env-sourced request quietly downgrades to threads.
+* ``"sequential"`` runs the sub-batches inline, one shard after
+  another, through :meth:`ShardedIndex.execute_batch
+  <repro.index.base.SpatialIndex.execute_batch>`;
+* ``"processes"`` serves them on a persistent
+  :class:`~repro.parallel.pool.ProcessPool` from shared-memory
+  snapshots, escaping the GIL.  ``max_workers`` sizes that pool.
+
+Both fill the same :class:`BatchResult` fields: per-shard query counts
+and seconds, plus the route/fan-out/merge split.  An explicit
+``backend=`` argument wins; otherwise ``QUASII_EXECUTOR_BACKEND`` is
+consulted (only when the resolved ``max_workers`` exceeds 1, so
+single-worker setups keep their sequential contract); otherwise the
+backend is ``"sequential"``.  Replicated engines route reads through
+per-shard replica picks, which the process tier bypasses by design, so
+they serve inline: asking for ``backend="processes"`` on one raises,
+and an env-sourced request resolves to ``"sequential"``.
 
 Passing a :class:`~repro.sharding.maintenance.MaintenancePolicy` makes
 the executor the maintenance driver too: after every batch it ticks a
@@ -42,22 +42,16 @@ any batch's ``seconds``.
 from __future__ import annotations
 
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from types import TracebackType
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError
 from repro.index.base import IndexStats
-from repro.queries.query import Query, QueryResult, as_query
+from repro.queries.query import Query
 from repro.queries.range_query import RangeQuery
 from repro.sharding.maintenance import MaintenancePolicy, MaintenanceScheduler
 from repro.sharding.replication import FaultInjector, ReplicatedShardedIndex
-from repro.sharding.shard import Shard
-from repro.sharding.sharded_index import ShardedIndex
+from repro.sharding.sharded_index import BatchResult, ShardedIndex
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog
 from repro.telemetry.naming import (
@@ -73,72 +67,12 @@ from repro.telemetry.naming import (
 if TYPE_CHECKING:
     from repro.parallel.pool import ProcessPool
 
-#: The executor's dispatch backends, in escalation order.
-BACKENDS = ("sequential", "threads", "processes")
+#: The executor's dispatch backends: run sub-batches inline or on a
+#: process pool.
+BACKENDS = ("sequential", "processes")
 
 #: Environment override consulted when no explicit ``backend=`` is given.
 BACKEND_ENV = "QUASII_EXECUTOR_BACKEND"
-
-
-@dataclass
-class BatchResult:
-    """Outcome of one executed query batch.
-
-    Attributes
-    ----------
-    results:
-        One id array per query, in batch order (merged + deduplicated;
-        empty for count-only queries — their payload lives in
-        ``query_results``).
-    query_results:
-        One full :class:`~repro.queries.query.QueryResult` per query,
-        in batch order — counts, boxes, and top-k payloads for
-        non-``ids`` modes.
-    seconds:
-        Wall-clock for the whole batch (planning + fan-out + merge).
-    mode:
-        ``"sequential"``, ``"parallel"`` (thread backend), or
-        ``"processes"`` (process backend).
-    workers:
-        Thread or process count used (1 for the sequential fallback).
-    shard_queries:
-        Per-shard number of (query, shard) executions — the fan-out
-        profile; its sum can exceed ``len(results)`` when queries span
-        shards and be below it when pruning wins.
-    shard_seconds:
-        Per-shard worker wall-clock for this batch's sub-batches, indexed
-        by shard id (0.0 for shards the batch never visited).  On the
-        thread path each shard task is timed individually (and on the
-        process path each worker times its sub-batch in-process), so
-        shard-level skew is measurable: ``max(shard_seconds)`` bounds the
-        fan-out phase while ``sum(shard_seconds)`` is the total work.
-        The sequential fallback runs the engine's native batch (no
-        per-shard attribution), so the list stays zeroed there.
-    route_seconds / fanout_seconds / merge_seconds:
-        Phase timings of the thread/process paths: planning queries onto
-        shards (the queueing step), shard tasks in flight, and
-        partial-result assembly.  All 0.0 on the sequential path.
-    """
-
-    results: list[np.ndarray] = field(default_factory=list)
-    query_results: list[QueryResult] = field(default_factory=list)
-    seconds: float = 0.0
-    mode: str = "sequential"
-    workers: int = 1
-    shard_queries: list[int] = field(default_factory=list)
-    shard_seconds: list[float] = field(default_factory=list)
-    route_seconds: float = 0.0
-    fanout_seconds: float = 0.0
-    merge_seconds: float = 0.0
-
-    @property
-    def n_queries(self) -> int:
-        """Number of executed queries."""
-        return len(self.results)
-
-    def throughput(self) -> float:
-        """Queries per second over the batch."""
-        return self.n_queries / self.seconds if self.seconds > 0 else float("inf")
 
 
 class QueryExecutor:
@@ -149,15 +83,16 @@ class QueryExecutor:
     index:
         The sharded engine; built on first use if necessary.
     max_workers:
-        Thread (or process) pool width.  ``None`` uses
-        ``os.cpu_count()`` capped at the shard count; ``<= 1`` selects
-        the sequential fallback unless ``backend`` says otherwise.
+        Process pool width.  ``None`` uses ``os.cpu_count()`` capped at
+        the shard count.  It also gates the env override below: a
+        ``<= 1`` executor never leaves the sequential backend unless
+        ``backend`` says so.
     backend:
         Dispatch backend: one of :data:`BACKENDS` or ``None``.
         ``None`` (default) resolves via the module docstring's rules —
-        env override first (:data:`BACKEND_ENV`, honored only when the
-        resolved ``max_workers`` exceeds 1), then ``"threads"`` /
-        ``"sequential"`` by worker count.  The ``"processes"`` backend
+        the env override (:data:`BACKEND_ENV`, honored only when the
+        resolved ``max_workers`` exceeds 1), else ``"sequential"``.
+        The ``"processes"`` backend
         lazily spins up a persistent
         :class:`~repro.parallel.pool.ProcessPool` on first use; call
         :meth:`close` (or use the executor as a context manager) to
@@ -258,18 +193,18 @@ class QueryExecutor:
         Explicit argument > :data:`BACKEND_ENV` (only when more than one
         worker was resolved — the env knob widens parallel setups, it
         never un-sequentializes a deliberate single-worker executor) >
-        the historical worker-count default.  Unknown names raise either
-        way; ``processes`` on a replicated engine raises when asked
-        explicitly and downgrades to ``threads`` when the env asked,
-        because the process tier serves from driver-published snapshots
-        and would silently bypass replica routing and fault injection.
+        ``"sequential"``.  Unknown names raise either way; ``processes``
+        on a replicated engine raises when asked explicitly and resolves
+        to ``sequential`` when the env asked, because the process tier
+        serves from driver-published snapshots and would silently bypass
+        replica routing and fault injection.
         """
         explicit = requested is not None
         backend = requested
         if backend is None and self._max_workers > 1:
             backend = os.environ.get(BACKEND_ENV) or None
         if backend is None:
-            return "threads" if self._max_workers > 1 else "sequential"
+            return "sequential"
         if backend not in BACKENDS:
             source = "backend argument" if explicit else BACKEND_ENV
             raise ConfigurationError(
@@ -284,12 +219,12 @@ class QueryExecutor:
                     "driver-published snapshots and would bypass replica "
                     "routing and fault injection"
                 )
-            return "threads"
+            return "sequential"
         return backend
 
     @property
     def max_workers(self) -> int:
-        """Resolved thread pool width (1 = sequential fallback)."""
+        """Resolved process pool width."""
         return self._max_workers
 
     @property
@@ -355,14 +290,13 @@ class QueryExecutor:
         query_hist = reg.histogram(QUERY_SECONDS)
         for result in out.query_results:
             query_hist.record(result.seconds)
-        if out.mode != "sequential":
-            shard_hist = reg.histogram(SHARD_BATCH_SECONDS)
-            for seconds in out.shard_seconds:
-                if seconds:
-                    shard_hist.record(seconds)
-            reg.histogram(BATCH_ROUTE_SECONDS).record(out.route_seconds)
-            reg.histogram(BATCH_FANOUT_SECONDS).record(out.fanout_seconds)
-            reg.histogram(BATCH_MERGE_SECONDS).record(out.merge_seconds)
+        shard_hist = reg.histogram(SHARD_BATCH_SECONDS)
+        for seconds in out.shard_seconds:
+            if seconds:
+                shard_hist.record(seconds)
+        reg.histogram(BATCH_ROUTE_SECONDS).record(out.route_seconds)
+        reg.histogram(BATCH_FANOUT_SECONDS).record(out.fanout_seconds)
+        reg.histogram(BATCH_MERGE_SECONDS).record(out.merge_seconds)
         record_stats_delta(reg, self._index.stats.delta_since(before))
 
     def _log_slow_queries(self, out: BatchResult) -> None:
@@ -377,11 +311,7 @@ class QueryExecutor:
         """
         threshold = self._slow_query_threshold
         visited = sum(1 for n in out.shard_queries if n)
-        pruned = (
-            self._index.n_shards - visited
-            if out.mode != "sequential"
-            else None
-        )
+        pruned = self._index.n_shards - visited
         for result in out.query_results:
             if result.seconds <= threshold:
                 continue
@@ -406,125 +336,36 @@ class QueryExecutor:
                 merge_seconds=out.merge_seconds,
             )
 
-    @staticmethod
-    def _ids_of(result: QueryResult) -> np.ndarray:
-        """The legacy id-array view of a result (empty for count-only)."""
-        if result.ids is None:
-            return np.empty(0, dtype=np.int64)
-        return result.ids
-
     def _run_batch(
         self, queries: Sequence[Query | RangeQuery]
     ) -> BatchResult:
+        """One pass of the engine's dispatch pipeline.
+
+        The inline backend enters through the engine's native
+        ``execute_batch``; the process backend hands the same pipeline
+        its pool's runner.  Either way the engine routes, merges, and
+        records the batch's fan-out profile in ``last_batch``.
+        """
         index = self._index
         if not index.is_built:
             index.build()
-        queries = [as_query(q) for q in queries]
-        t0 = time.perf_counter()
-        if self._backend == "sequential":
-            # The engine's native sequential batch: routing happens inside
-            # execute_batch (a second pass here would double-count the
-            # prune counters), so shard_queries stays zeroed.
-            query_results = index.execute_batch(queries)
-            out = BatchResult(
-                results=[self._ids_of(r) for r in query_results],
-                query_results=query_results,
-                mode="sequential",
-                workers=1,
-                shard_queries=[0] * index.n_shards,
-                shard_seconds=[0.0] * index.n_shards,
-            )
-            out.seconds = time.perf_counter() - t0
-            return out
         if self._backend == "processes":
-            return self._run_processes(queries, t0)
-        return self._run_parallel(queries, t0)
-
-    def _route(self, queries: list[Query]) -> dict[int, list[int]]:
-        """Route every query onto shard queues, on the calling thread.
-
-        Shared by the thread and process backends: prune counters and
-        the epoch check stay single-threaded, and each shard receives
-        its queue in batch order.
-        """
-        index = self._index
-        index._check_epoch()
-        queues: dict[int, list[int]] = {}
-        for i, q in enumerate(queries):
-            # The same dimension gate index.execute() applies — a wrong-d
-            # window must raise here too, not broadcast into a nonsense
-            # prune mask.
-            if q.ndim != index.store.ndim:
-                raise QueryError(
-                    f"query has {q.ndim} dims, store has {index.store.ndim}"
-                )
-            for shard in index.plan_shards(q):
-                queues.setdefault(shard.sid, []).append(i)
-        return queues
-
-    def _run_parallel(self, queries: list[Query], t0: float) -> BatchResult:
-        index = self._index
-        queues = self._route(queries)
-        t_routed = time.perf_counter()
-        workers = max(1, self._max_workers)
-
-        def work(
-            shard: Shard, idxs: list[int]
-        ) -> tuple[list[int], list[QueryResult], float]:
-            # One task per shard per batch: the whole sub-batch goes
-            # through the shard index's native execute_batch, so shard
-            # indexes batch their own candidate matrices / merges.  Each
-            # task times itself — pool queueing excluded, so the numbers
-            # expose shard skew rather than dispatch order.
-            # serving_index() is the replication seam: a replicated
-            # shard picks its least-loaded live replica here, once per
-            # shard per batch, so the chosen replica stays
-            # single-threaded for the whole sub-batch.
-            w0 = time.perf_counter()
-            sub = shard.serving_index().execute_batch(
-                [queries[i] for i in idxs]
-            )
-            return idxs, sub, time.perf_counter() - w0
-
-        partials: dict[int, list[QueryResult]] = {}
-        shard_queries = [0] * index.n_shards
-        shard_seconds = [0.0] * index.n_shards
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (sid, pool.submit(work, index.shards[sid], idxs))
-                for sid, idxs in queues.items()
-            ]
-            for sid, future in futures:
-                idxs, sub, seconds = future.result()
-                shard_seconds[sid] = seconds
-                for i, res in zip(idxs, sub):
-                    partials.setdefault(i, []).append(res)
-        t_joined = time.perf_counter()
-        for sid, idxs in queues.items():
-            shard_queries[sid] = len(idxs)
-        # Merging (and its timing) is shared with the engine's native
-        # sequential batch: counters, equal-share seconds, and the
-        # post-merge wall-clock capture all live in _assemble_batch.
-        query_results = index._assemble_batch(queries, partials, t0)
-        t_done = time.perf_counter()
-        return BatchResult(
-            results=[self._ids_of(r) for r in query_results],
-            query_results=query_results,
-            seconds=t_done - t0,
-            mode="parallel",
-            workers=workers,
-            shard_queries=shard_queries,
-            shard_seconds=shard_seconds,
-            route_seconds=t_routed - t0,
-            fanout_seconds=t_joined - t_routed,
-            merge_seconds=t_done - t_joined,
-        )
+            pool = self._ensure_pool()
+            index.execute_batch_via(queries, pool.run_batch)
+            workers = pool.n_workers
+        else:
+            index.execute_batch(queries)
+            workers = 1
+        out = index.last_batch
+        assert out is not None  # every engine batch records its profile
+        out.mode, out.workers = self._backend, workers
+        return out
 
     def _ensure_pool(self) -> ProcessPool:
         """The persistent process pool, created on first process batch.
 
-        Lazy on purpose: the sequential and thread backends never pay
-        the multiprocessing import, and the pool forks only after the
+        Lazy on purpose: the sequential backend never pays the
+        multiprocessing import, and the pool forks only after the
         engine is built (workers inherit a warm interpreter under the
         fork start method).
         """
@@ -539,51 +380,12 @@ class QueryExecutor:
             )
         return self._pool
 
-    def _run_processes(self, queries: list[Query], t0: float) -> BatchResult:
-        """The process backend: same shape as threads, different labor.
-
-        Routing, merging, counters, and maintenance all stay
-        driver-side (identical to :meth:`_run_parallel`); only the
-        per-shard sub-batch execution crosses the process boundary.
-        ``shard_seconds`` carries the worker-measured in-process
-        wall-clock, so skew stays observable without clock-domain
-        games.
-        """
-        index = self._index
-        queues = self._route(queries)
-        t_routed = time.perf_counter()
-        pool = self._ensure_pool()
-        served = pool.run_batch(queries, queues)
-        t_joined = time.perf_counter()
-        partials: dict[int, list[QueryResult]] = {}
-        shard_queries = [0] * index.n_shards
-        shard_seconds = [0.0] * index.n_shards
-        for sid, (idxs, sub, seconds) in served.items():
-            shard_queries[sid] = len(idxs)
-            shard_seconds[sid] = seconds
-            for i, res in zip(idxs, sub):
-                partials.setdefault(i, []).append(res)
-        query_results = index._assemble_batch(queries, partials, t0)
-        t_done = time.perf_counter()
-        return BatchResult(
-            results=[self._ids_of(r) for r in query_results],
-            query_results=query_results,
-            seconds=t_done - t0,
-            mode="processes",
-            workers=pool.n_workers,
-            shard_queries=shard_queries,
-            shard_seconds=shard_seconds,
-            route_seconds=t_routed - t0,
-            fanout_seconds=t_joined - t_routed,
-            merge_seconds=t_done - t_joined,
-        )
-
     def close(self) -> None:
         """Tear down backend resources (the process pool, if started).
 
-        Idempotent; the sequential and thread backends hold nothing, so
-        this is a no-op for them.  After closing, the next process-mode
-        batch transparently starts a fresh pool.
+        Idempotent; the sequential backend holds nothing, so this is a
+        no-op for it.  After closing, the next process-mode batch
+        transparently starts a fresh pool.
         """
         if self._pool is not None:
             self._pool.close()

@@ -26,11 +26,11 @@ Three pieces, each a first-class object rather than a monkeypatch:
 * :class:`ReplicatedShardedIndex` — the :class:`ShardedIndex` engine
   with every shard replaced by a :class:`ReplicatedShard`.  The whole
   :class:`~repro.index.base.MutableSpatialIndex` contract (queries,
-  routed updates, compaction, rebalancing, migration) is preserved; the
-  executor's shard affinity extends to replicas because the serving
-  replica is picked once per shard per batch
+  routed updates, compaction, rebalancing, migration) is preserved;
+  shard affinity extends to replicas because the serving replica is
+  picked once per shard per batch
   (:meth:`ReplicatedShard.serving_index`), keeping every incremental
-  index single-threaded.
+  index single-writer.
 
 The ledger-as-replication-stream invariant: every applied write is
 recorded in the shard's ledger *before* it reaches any replica, so the

@@ -86,9 +86,9 @@ class Shard:
         The read-routing seam: the base shard always serves from its own
         index, while :class:`~repro.sharding.replication.ReplicatedShard`
         overrides this to pick the least-loaded live replica.  The
-        executor calls this exactly once per shard per batch, so whatever
-        index is returned is touched by a single worker thread for the
-        whole batch (shard affinity extends to replicas).
+        engine's inline sub-batch runner calls this exactly once per
+        shard per batch, so whatever index is returned serves that
+        shard's whole sub-batch (shard affinity extends to replicas).
         """
         return self.index
 

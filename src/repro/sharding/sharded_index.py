@@ -34,8 +34,12 @@ therefore keeps satisfying the documented multiset-of-live-rows
 invariant (ledger checks work unchanged), and the shared id-allocation /
 validation gate stays exact across shards.
 
-Batches of queries can be executed across shards in parallel with
-:class:`~repro.sharding.executor.QueryExecutor`.
+Every query batch runs one dispatch pipeline: the engine routes each
+query once, hands the per-shard sub-batches to a runner — its own
+inline loop, or a :class:`~repro.parallel.pool.ProcessPool` through
+:meth:`ShardedIndex.execute_batch_via` — then merges once.  Each batch
+leaves its fan-out profile in :attr:`ShardedIndex.last_batch`, which
+:class:`~repro.sharding.executor.QueryExecutor` serves to its callers.
 
 The engine also observes its own traffic: every planned query's centroid
 is recorded in a :class:`~repro.sharding.rebalancer.WorkloadProfile`, and
@@ -51,6 +55,7 @@ both rebalancing and compaction on the query path.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +72,73 @@ from repro.sharding.shard import Shard
 
 #: Builds the per-shard index over a shard's private store.
 IndexFactory = Callable[[BoxStore], SpatialIndex]
+
+#: Per-shard sub-batch replies: ``{sid: (query idxs, results, seconds)}``,
+#: where ``seconds`` is the shard's own sub-batch wall-clock.
+ShardReplies = dict[int, tuple[list[int], list[QueryResult], float]]
+
+#: Runs routed per-shard sub-batches: ``(queries, {sid: query idxs})``
+#: to :data:`ShardReplies`.
+SubBatchRunner = Callable[[list[Query], dict[int, list[int]]], ShardReplies]
+
+
+@dataclass
+class BatchResult:
+    """Outcome of one executed query batch.
+
+    Attributes
+    ----------
+    results:
+        One id array per query, in batch order (merged + deduplicated;
+        empty for count-only queries — their payload lives in
+        ``query_results``).
+    query_results:
+        One full :class:`~repro.queries.query.QueryResult` per query,
+        in batch order — counts, boxes, and top-k payloads for
+        non-``ids`` modes.
+    seconds:
+        Wall-clock for the whole batch (route + fan-out + merge).
+    mode:
+        ``"sequential"`` (sub-batches run inline) or ``"processes"``
+        (sub-batches run on a process pool).
+    workers:
+        Process count used (1 when sub-batches run inline).
+    shard_queries:
+        Per-shard number of (query, shard) executions — the fan-out
+        profile; its sum can exceed ``len(results)`` when queries span
+        shards and be below it when pruning wins.
+    shard_seconds:
+        Per-shard sub-batch wall-clock, indexed by shard id (0.0 for
+        shards the batch never visited).  Every backend times each
+        shard's sub-batch on its own (a process worker times it
+        in-process), so ``max(shard_seconds)`` bounds the fan-out phase,
+        ``sum(shard_seconds)`` is the total work, and their ratio to the
+        mean exposes shard skew.
+    route_seconds / fanout_seconds / merge_seconds:
+        The batch's phases, which tile ``seconds``: routing queries onto
+        shards, running the sub-batches, and assembling the per-query
+        results.
+    """
+
+    results: list[np.ndarray] = field(default_factory=list)
+    query_results: list[QueryResult] = field(default_factory=list)
+    seconds: float = 0.0
+    mode: str = "sequential"
+    workers: int = 1
+    shard_queries: list[int] = field(default_factory=list)
+    shard_seconds: list[float] = field(default_factory=list)
+    route_seconds: float = 0.0
+    fanout_seconds: float = 0.0
+    merge_seconds: float = 0.0
+
+    @property
+    def n_queries(self) -> int:
+        """Number of executed queries."""
+        return len(self.results)
+
+    def throughput(self) -> float:
+        """Queries per second over the batch."""
+        return self.n_queries / self.seconds if self.seconds > 0 else float("inf")
 
 
 def _default_factory(store: BoxStore) -> SpatialIndex:
@@ -135,6 +207,9 @@ class ShardedIndex(MutableSpatialIndex):
         #: :class:`~repro.sharding.rebalancer.Rebalancer`'s drift
         #: detection and its query-driven split cut.
         self.profile = WorkloadProfile()
+        #: Fan-out profile of the most recent query batch (``None``
+        #: before the first); see :class:`BatchResult`.
+        self.last_batch: BatchResult | None = None
         self.name = f"Sharded[{self._partitioner.name}x{self._n_shards}]"
 
     #: Shard-level work counters mirrored into the engine's stats; the
@@ -272,13 +347,11 @@ class ShardedIndex(MutableSpatialIndex):
 
         The *routing* half of planning (the cost-estimating half is the
         inherited :meth:`~repro.index.base.SpatialIndex.plan`).  One
-        vectorized intersection test over the stacked shard MBBs.
-        The :class:`~repro.sharding.executor.QueryExecutor` calls this on
-        the coordinating thread so counter updates never race; shard-local
-        work then proceeds in parallel.  Each planned window's centroid
-        is also recorded in :attr:`profile` — routing is the one spot
-        both the sequential and the parallel path go through exactly
-        once per query, so the observed-traffic record stays exact.
+        vectorized intersection test over the stacked shard MBBs, run
+        on the driver before any sub-batch starts.  Each planned
+        window's centroid is also recorded in :attr:`profile` — routing
+        is the one spot every query goes through exactly once, on every
+        backend, so the observed-traffic record stays exact.
         """
         self.profile.record(query)
         stack_lo, stack_hi = self._mbb_stacks()
@@ -311,16 +384,51 @@ class ShardedIndex(MutableSpatialIndex):
         return payload
 
     def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
-        """Fan out whole per-shard sub-batches, then merge per query.
+        return self._dispatch(queries, self._run_inline)
 
-        Every query is routed once on this thread (prune counters and
-        the traffic profile stay exact), then each shard answers its
-        portion of the batch through its index's *native*
-        ``execute_batch`` — one sub-batch per shard instead of one call
-        per (query, shard) pair, so vectorized shard indexes batch
-        their candidate matrices and QUASII shards amortize their
-        merges.  The thread-pooled version of the same shape lives in
-        :class:`~repro.sharding.executor.QueryExecutor`.
+    def execute_batch_via(
+        self,
+        queries: Sequence[Query | RangeQuery],
+        run_shards: SubBatchRunner,
+    ) -> list[QueryResult]:
+        """:meth:`execute_batch` with the sub-batches run by ``run_shards``.
+
+        The process backend's seam: routing, the gate, merging, and
+        counters stay on this driver, and only the per-shard sub-batch
+        execution is handed to ``run_shards`` (e.g.
+        :meth:`~repro.parallel.pool.ProcessPool.run_batch`).
+        """
+        return self._dispatch(self._admit_batch(queries), run_shards)
+
+    def _run_inline(
+        self, queries: list[Query], queues: dict[int, list[int]]
+    ) -> ShardReplies:
+        """Run each shard's sub-batch in turn on this thread.
+
+        One call per shard through its index's *native*
+        ``execute_batch``, so vectorized shard indexes batch their
+        candidate matrices and QUASII shards amortize their merges.
+        ``serving_index()`` is the replication seam: a replicated shard
+        picks its least-loaded live replica once per sub-batch.
+        """
+        served: ShardReplies = {}
+        for sid, idxs in queues.items():
+            w0 = time.perf_counter()
+            sub = self._shards[sid].serving_index().execute_batch(
+                [queries[i] for i in idxs]
+            )
+            served[sid] = (idxs, sub, time.perf_counter() - w0)
+        return served
+
+    def _dispatch(
+        self, queries: list[Query], run_shards: SubBatchRunner
+    ) -> list[QueryResult]:
+        """Route every query once, run the sub-batches, merge once.
+
+        The one batch pipeline behind every backend: prune counters and
+        the traffic profile are updated here on the driver, each shard
+        receives its queue in batch order, and the phase split plus the
+        per-shard profile land in :attr:`last_batch`.
         """
         if not self._built:
             raise ConfigurationError(
@@ -331,14 +439,33 @@ class ShardedIndex(MutableSpatialIndex):
         for i, q in enumerate(queries):
             for shard in self.plan_shards(q):
                 queues.setdefault(shard.sid, []).append(i)
+        t_routed = time.perf_counter()
+        served = run_shards(queries, queues)
+        t_joined = time.perf_counter()
         partials: dict[int, list[QueryResult]] = {}
-        for sid, idxs in queues.items():
-            sub = self._shards[sid].serving_index().execute_batch(
-                [queries[i] for i in idxs]
-            )
+        shard_queries = [0] * self._n_shards
+        shard_seconds = [0.0] * self._n_shards
+        for sid, (idxs, sub, seconds) in served.items():
+            shard_queries[sid] = len(idxs)
+            shard_seconds[sid] = seconds
             for i, res in zip(idxs, sub):
                 partials.setdefault(i, []).append(res)
-        return self._assemble_batch(queries, partials, t0)
+        query_results = self._assemble_batch(queries, partials, t0)
+        t_done = time.perf_counter()
+        self.last_batch = BatchResult(
+            results=[
+                r.ids if r.ids is not None else np.empty(0, dtype=np.int64)
+                for r in query_results
+            ],
+            query_results=query_results,
+            seconds=t_done - t0,
+            shard_queries=shard_queries,
+            shard_seconds=shard_seconds,
+            route_seconds=t_routed - t0,
+            fanout_seconds=t_joined - t_routed,
+            merge_seconds=t_done - t_joined,
+        )
+        return query_results
 
     def _assemble_batch(
         self,
@@ -348,10 +475,9 @@ class ShardedIndex(MutableSpatialIndex):
     ) -> list[QueryResult]:
         """Merge per-shard results into engine-level batch results.
 
-        Shared by the sequential native batch above and the executor's
-        thread-pooled fan-out.  The merge work itself is part of the
-        batch, so wall-clock is captured *after* merging and the
-        equal-share per-query seconds are stamped in a second pass.
+        The merge work itself is part of the batch, so wall-clock is
+        captured *after* merging and the equal-share per-query seconds
+        are stamped in a second pass.
         Per-query index-stat deltas cannot be attributed to a single
         query across a fleet batch, so ``stats`` stays ``None`` here;
         fleet work lands in the engine's cumulative stats through

@@ -166,7 +166,7 @@ class LatencyHistogram:
         instrument must keep its registry identity — e.g. a driver
         registry absorbing the per-batch histograms worker *processes*
         ship back, so ``/metrics`` and soak windows see process-backend
-        samples exactly like thread-backend ones.
+        samples exactly like inline ones.
         """
         self._check_layout(other)
         for i, c in enumerate(other.counts):

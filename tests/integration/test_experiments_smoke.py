@@ -35,6 +35,15 @@ TINY = Scale(
     soak_window=0.2,
     soak_ops=200,
     soak_delete_batch=150,
+    # Shard scaling: without these the default 60k-row, 800-query, K=8
+    # backend face-off would dominate the whole smoke suite.
+    shard_queries=50,
+    shard_counts=(1, 2, 4),
+    backend_n=5_000,
+    backend_shards=4,
+    backend_workers=2,
+    backend_stream=3,
+    backend_repeats=1,
 )
 
 

@@ -1,10 +1,10 @@
-"""Property tests: the three dispatch backends are observationally equal.
+"""Property tests: the dispatch backends are observationally equal.
 
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 first-class queries (across predicates and result modes), insert
 batches, delete batches, and compactions.  The same interleaving runs
-against one engine per executor backend — ``sequential``, ``threads``,
-and ``processes`` — with the executors kept alive across operations, so
+against one engine per executor backend — ``sequential`` and
+``processes`` — with the executors kept alive across operations, so
 the process pool must survive every epoch bump (insert/delete/compact
 between batches) by republishing its shared-memory segments.
 
@@ -37,7 +37,7 @@ from repro.updates import UpdateLedger
 
 UNIVERSE_SIDE = 100.0
 
-BACKENDS = ("sequential", "threads", "processes")
+BACKENDS = ("sequential", "processes")
 
 #: The query shapes the interleavings draw from: (predicate, mode, k).
 QUERY_SHAPES = (

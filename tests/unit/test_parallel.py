@@ -7,9 +7,9 @@ Covers the four layers of the subsystem:
 * the wire — query/result codecs across the full predicate/mode
   matrix, including the ``None`` payloads of count-mode results;
 * backend resolution — explicit argument vs ``QUASII_EXECUTOR_BACKEND``
-  vs worker-count default, and the replicated-engine guard;
+  vs the sequential default, and the replicated-engine guard;
 * the serving pool — oracle parity through the executor (including
-  across epoch bumps), telemetry golden-equivalence with the thread
+  across epoch bumps), telemetry golden-equivalence with the inline
   backend, worker SIGKILL recovery, and shared-memory cleanup.
 """
 
@@ -48,7 +48,11 @@ from repro.sharding.replication import ReplicatedShardedIndex
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog
 from repro.telemetry.naming import (
+    BATCH_FANOUT_SECONDS,
+    BATCH_MERGE_SECONDS,
+    BATCH_ROUTE_SECONDS,
     QUERY_SECONDS,
+    SHARD_BATCH_SECONDS,
     WORKER_BATCH_SECONDS,
     WORKER_QUERY_SECONDS,
 )
@@ -240,13 +244,13 @@ class TestBackendResolution:
         return ShardedIndex(make_uniform(500, seed=1).store.copy(), **kw)
 
     def test_worker_count_default(self):
-        assert (
-            QueryExecutor(self._engine(), max_workers=1).backend
-            == "sequential"
-        )
-        assert (
-            QueryExecutor(self._engine(), max_workers=3).backend == "threads"
-        )
+        # Without an argument or env request, every worker count serves
+        # inline: max_workers only sizes the process pool.
+        for workers in (None, 0, 1, 3):
+            assert (
+                QueryExecutor(self._engine(), max_workers=workers).backend
+                == "sequential"
+            )
 
     def test_env_widens_parallel_executors_only(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "processes")
@@ -262,15 +266,18 @@ class TestBackendResolution:
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "processes")
-        ex = QueryExecutor(self._engine(), max_workers=4, backend="threads")
-        assert ex.backend == "threads"
+        ex = QueryExecutor(self._engine(), max_workers=4, backend="sequential")
+        assert ex.backend == "sequential"
 
     def test_unknown_backend_names_its_source(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="backend argument"):
-            QueryExecutor(self._engine(), max_workers=2, backend="fibers")
-        monkeypatch.setenv(BACKEND_ENV, "fibers")
-        with pytest.raises(ConfigurationError, match=BACKEND_ENV):
-            QueryExecutor(self._engine(), max_workers=2)
+        # "threads" was a backend once; it must fail loudly, not resolve.
+        for name in ("fibers", "threads"):
+            with pytest.raises(ConfigurationError, match="backend argument"):
+                QueryExecutor(self._engine(), max_workers=2, backend=name)
+            monkeypatch.setenv(BACKEND_ENV, name)
+            with pytest.raises(ConfigurationError, match=BACKEND_ENV):
+                QueryExecutor(self._engine(), max_workers=2)
+            monkeypatch.delenv(BACKEND_ENV)
 
     def test_replicated_engine_rejects_explicit_processes(self):
         engine = ReplicatedShardedIndex(
@@ -284,7 +291,7 @@ class TestBackendResolution:
         engine = ReplicatedShardedIndex(
             make_uniform(500, seed=1).store.copy(), n_shards=2, replication=2
         )
-        assert QueryExecutor(engine, max_workers=2).backend == "threads"
+        assert QueryExecutor(engine, max_workers=2).backend == "sequential"
 
     def test_start_method_resolution(self, monkeypatch):
         monkeypatch.delenv(START_METHOD_ENV, raising=False)
@@ -355,7 +362,7 @@ class TestProcessBackend:
     def test_telemetry_matches_thread_backend(self, dataset):
         queries = uniform_workload(dataset.universe, 30, 1e-3, seed=3)
         runs = {}
-        for backend in ("threads", "processes"):
+        for backend in ("sequential", "processes"):
             engine = self._engine(dataset)
             telemetry = Telemetry()
             with QueryExecutor(
@@ -363,26 +370,35 @@ class TestProcessBackend:
             ) as ex:
                 ex.run(queries)
             runs[backend] = (engine.stats, telemetry.registry)
-        thr_stats, thr_reg = runs["threads"]
+        seq_stats, seq_reg = runs["sequential"]
         prc_stats, prc_reg = runs["processes"]
         # Routing and result accounting are driver-side on both paths.
-        assert prc_stats.queries == thr_stats.queries == len(queries)
-        assert prc_stats.shards_visited == thr_stats.shards_visited
-        assert prc_stats.shards_pruned == thr_stats.shards_pruned
-        assert prc_stats.results_returned == thr_stats.results_returned
+        assert prc_stats.queries == seq_stats.queries == len(queries)
+        assert prc_stats.shards_visited == seq_stats.shards_visited
+        assert prc_stats.shards_pruned == seq_stats.shards_pruned
+        assert prc_stats.results_returned == seq_stats.results_returned
         # Worker-side crack work folds back into the same counters: the
         # worker indexes see identical snapshots and identical sub-batches,
-        # so the fleet-wide work totals must agree with the thread path.
-        assert prc_stats.objects_tested == thr_stats.objects_tested
-        # Driver histograms sample per query on both paths; worker.* is
-        # the process tier's own vocabulary, absorbed after each batch.
-        assert (
-            prc_reg.histograms()[QUERY_SECONDS].count
-            == thr_reg.histograms()[QUERY_SECONDS].count
-        )
+        # so the fleet-wide work totals must agree with the inline path.
+        assert prc_stats.objects_tested == seq_stats.objects_tested
+        # Driver histograms are the same on both paths — per query, per
+        # shard sub-batch, and per phase; worker.* is the process tier's
+        # own vocabulary, absorbed after each batch.
+        for name in (
+            QUERY_SECONDS,
+            SHARD_BATCH_SECONDS,
+            BATCH_ROUTE_SECONDS,
+            BATCH_FANOUT_SECONDS,
+            BATCH_MERGE_SECONDS,
+        ):
+            assert (
+                prc_reg.histograms()[name].count
+                == seq_reg.histograms()[name].count
+                > 0
+            )
         assert prc_reg.histograms()[WORKER_BATCH_SECONDS].count > 0
         assert prc_reg.histograms()[WORKER_QUERY_SECONDS].count > 0
-        assert WORKER_BATCH_SECONDS not in thr_reg.histograms()
+        assert WORKER_BATCH_SECONDS not in seq_reg.histograms()
 
     def test_sigkilled_worker_respawns_and_batch_completes(self, dataset):
         queries = uniform_workload(dataset.universe, 15, 1e-3, seed=4)

@@ -42,8 +42,7 @@ def run_rules(
 # ---------------------------------------------------------------------------
 def test_registry_holds_the_documented_rule_set():
     assert sorted(analysis.RULES) == [
-        "QL001", "QL002", "QL003", "QL004", "QL005", "QL006", "QL007",
-        "QL008",
+        "QL001", "QL002", "QL004", "QL005", "QL006", "QL007", "QL008",
     ]
     for rule in analysis.all_rules():
         assert rule.id in analysis.RULES
@@ -127,56 +126,6 @@ def test_ql002_accepts_hooks_stateless_subclasses_and_ancestors(tmp_path):
         "        self._csr = []\n"
     )})
     assert run_rules(tmp_path, ["QL002"]) == []
-
-
-# ---------------------------------------------------------------------------
-# QL003 parallel-path purity
-# ---------------------------------------------------------------------------
-_QL003_WORLD = (
-    "class {cls}:\n"
-    "    def bump(self):\n"
-    "{body}"
-    "\n"
-    "class QueryExecutor:\n"
-    "    def _run_parallel(self, counters):\n"
-    "        def work(c):\n"
-    "            c.bump()\n"
-    "        for c in counters:\n"
-    "            work(c)\n"
-)
-
-
-def test_ql003_flags_unguarded_mutation_reachable_from_work(tmp_path):
-    write_tree(tmp_path, {"mod.py": _QL003_WORLD.format(
-        cls="TallyBoard", body="        self.total = self.total + 1\n"
-    )})
-    findings = run_rules(tmp_path, ["QL003"])
-    assert [f.tag for f in findings] == ["TallyBoard.bump.total"]
-
-
-def test_ql003_accepts_lock_guarded_and_shard_affine_mutation(tmp_path):
-    write_tree(tmp_path, {
-        "locked.py": _QL003_WORLD.format(
-            cls="TallyBoard",
-            body=(
-                "        with self._lock:\n"
-                "            self.total = self.total + 1\n"
-            ),
-        ),
-        "affine.py": _QL003_WORLD.format(
-            cls="Shard", body="        self.total = self.total + 1\n"
-        ),
-    })
-    assert run_rules(tmp_path, ["QL003"]) == []
-
-
-def test_ql003_is_silent_without_a_parallel_seed(tmp_path):
-    write_tree(tmp_path, {"mod.py": (
-        "class TallyBoard:\n"
-        "    def bump(self):\n"
-        "        self.total = 1\n"
-    )})
-    assert run_rules(tmp_path, ["QL003"]) == []
 
 
 # ---------------------------------------------------------------------------

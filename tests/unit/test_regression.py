@@ -123,55 +123,12 @@ class TestExtractHeadline:
         doc = _doc("soak", {"query_p99_ms": 3.5})
         assert extract_headline(doc) == {"query_p99_ms": 3.5}
 
-    def test_soak_fallback_from_windows(self):
-        windows = [
-            {
-                "histograms": {
-                    "query.seconds": {"count": 10, "p50": p50, "p99": p99}
-                }
-            }
-            for p50, p99 in ((0.001, 0.002), (0.002, 0.004), (0.003, 0.008))
-        ]
-        doc = _doc("soak", metrics={"windows": windows})
-        headline = extract_headline(doc)
-        assert headline["query_p50_ms"] == 2.0   # median per-window p50
-        assert headline["worst_window_p99_ms"] == 8.0
-
-    def test_query_api_fallback_from_tables(self):
-        table = {
-            "title": "Batch of ...",
-            "headers": ["index", "batch speedup"],
-            "rows": [["Scan", "8.51x"], ["Grid", "1.22x"]],
-        }
-        doc = _doc("query-api", tables=[table])
-        assert extract_headline(doc) == {
-            "batch_speedup_scan": 8.51,
-            "batch_speedup_grid": 1.22,
-        }
-
-    def test_rebalance_fallback_from_whole_run_table(self):
-        table = {
-            "title": "Whole run",
-            "headers": [
-                "engine", "peak balance", "final balance",
-                "shards pruned %", "p50 (ms)", "p99 (ms)",
-            ],
-            "rows": [
-                ["static STR", "1.99", "1.99", "50", "2.0", "8.0"],
-                ["rebalanced", "1.21", "1.09", "60", "1.4", "4.0"],
-            ],
-        }
-        doc = _doc("rebalance", tables=[table])
-        headline = extract_headline(doc)
-        assert headline == {
-            "rebalanced_peak_balance": 1.21,
-            "rebalanced_final_balance": 1.09,
-            "rebalanced_p50_ms": 1.4,
-            "rebalanced_p99_ms": 4.0,
-        }
-
     def test_unrecognized_verb_yields_nothing(self):
         assert extract_headline(_doc("fig7")) == {}
+        # No headline payload means no gate, even for a gated verb:
+        # rendered tables and windows are never parsed for numbers.
+        windows = [{"histograms": {"query.seconds": {"count": 1, "p50": 1.0}}}]
+        assert extract_headline(_doc("soak", metrics={"windows": windows})) == {}
 
 
 class TestRunDiff:

@@ -288,12 +288,11 @@ class TestQueryExecutor:
         scan = ScanIndex(dataset.store.copy())
         expected = [np.sort(scan.query(q)) for q in queries]
         seq = QueryExecutor(self._engine(dataset), max_workers=1).run(queries)
-        # Pinned: this test asserts the thread path's mode label, so a
-        # QUASII_EXECUTOR_BACKEND=processes environment must not retarget it.
-        par = QueryExecutor(
-            self._engine(dataset), max_workers=4, backend="threads"
-        ).run(queries)
-        assert seq.mode == "sequential" and par.mode == "parallel"
+        with QueryExecutor(
+            self._engine(dataset), max_workers=2, backend="processes"
+        ) as ex:
+            par = ex.run(queries)
+        assert seq.mode == "sequential" and par.mode == "processes"
         for got_s, got_p, want in zip(seq.results, par.results, expected):
             assert np.array_equal(np.sort(got_s), want)
             assert np.array_equal(np.sort(got_p), want)
@@ -305,7 +304,8 @@ class TestQueryExecutor:
         e_seq = self._engine(dataset)
         e_par = self._engine(dataset)
         QueryExecutor(e_seq, max_workers=1).run(queries)
-        QueryExecutor(e_par, max_workers=3, backend="threads").run(queries)
+        with QueryExecutor(e_par, max_workers=2, backend="processes") as ex:
+            ex.run(queries)
         assert e_par.stats.queries == e_seq.stats.queries == len(queries)
         assert e_par.stats.shards_visited == e_seq.stats.shards_visited
         assert e_par.stats.shards_pruned == e_seq.stats.shards_pruned
@@ -340,22 +340,25 @@ class TestQueryExecutor:
             n_shards=4,
             index_factory=lambda s: QuasiiIndex(s, tau=16),
         )
-        # Pinned to threads: the point is that *driver-side* shard indexes
-        # crack concurrently and stay valid (the process backend cracks
-        # worker-local indexes instead).
-        QueryExecutor(engine, max_workers=4, backend="threads").run(
+        # Pinned inline: the point is that the *driver-side* shard indexes
+        # crack and stay valid (the process backend cracks worker-local
+        # indexes instead).
+        QueryExecutor(engine, max_workers=4, backend="sequential").run(
             uniform_workload(dataset.universe, 30, 1e-2, seed=8)
         )
         for shard in engine.shards:
             shard.index.validate_structure()
 
-    def test_parallel_exposes_shard_and_phase_timings(self, dataset):
+    @pytest.mark.parametrize("backend", ["sequential", "processes"])
+    def test_parallel_exposes_shard_and_phase_timings(self, dataset, backend):
         queries = uniform_workload(dataset.universe, 40, 1e-3, seed=9)
-        # Pinned: the phase-tiling and same-clock-domain invariants below
-        # are the thread backend's contract.
-        par = QueryExecutor(
-            self._engine(dataset), max_workers=4, backend="threads"
-        ).run(queries)
+        # Every backend runs the engine's one pipeline, so every backend
+        # owes the same per-shard and phase timings.
+        with QueryExecutor(
+            self._engine(dataset), max_workers=2, backend=backend
+        ) as ex:
+            par = ex.run(queries)
+        assert par.mode == backend
         assert len(par.shard_seconds) == 4
         # Every shard that received a sub-batch self-timed its work.
         for sid, n in enumerate(par.shard_queries):
@@ -363,20 +366,13 @@ class TestQueryExecutor:
                 assert par.shard_seconds[sid] > 0.0
             else:
                 assert par.shard_seconds[sid] == 0.0
+        assert sum(par.shard_queries) >= len(queries)
         # Phase timings tile the batch: route -> fan-out -> merge.
         assert par.route_seconds > 0.0
         assert par.fanout_seconds > 0.0
         assert par.merge_seconds > 0.0
         phases = par.route_seconds + par.fanout_seconds + par.merge_seconds
         assert phases == pytest.approx(par.seconds, rel=0.05)
-        # Worker self-timing excludes pool queueing, so each shard's
-        # clock fits inside the fan-out phase that contains it.
+        # Shard self-timing excludes dispatch, so each shard's clock fits
+        # inside the fan-out phase that contains it.
         assert max(par.shard_seconds) <= par.fanout_seconds * 1.05
-
-    def test_sequential_leaves_timings_zeroed(self, dataset):
-        queries = uniform_workload(dataset.universe, 10, 1e-3, seed=10)
-        seq = QueryExecutor(self._engine(dataset), max_workers=1).run(queries)
-        assert seq.shard_seconds == [0.0] * 4
-        assert seq.route_seconds == 0.0
-        assert seq.fanout_seconds == 0.0
-        assert seq.merge_seconds == 0.0

@@ -47,4 +47,4 @@ def all_rules() -> list[Rule]:
 
 
 # Importing the modules populates the registry.
-from . import ql001, ql002, ql003, ql004, ql005, ql006, ql007, ql008  # noqa: E402,F401
+from . import ql001, ql002, ql004, ql005, ql006, ql007, ql008  # noqa: E402,F401
