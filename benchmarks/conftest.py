@@ -3,7 +3,7 @@
 Every ``test_figNN_*`` target regenerates one table/figure of the paper at
 the ``smoke`` scale (fast; intended to validate the harness end-to-end).
 Run the real thing with ``quasii-bench all --scale small`` — see
-EXPERIMENTS.md for recorded small-scale results.
+docs/BENCH.md for the scale presets.
 
 Benchmarks print their report; run pytest with ``-s`` to see the rows.
 """

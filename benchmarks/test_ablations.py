@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices docs/BENCH.md lists.
 
 * slice-assignment representative (paper footnote 1: lower/center/upper);
 * QUASII's single parameter tau (the paper fixes 60);

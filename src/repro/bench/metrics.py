@@ -54,7 +54,7 @@ def work_break_even_query(incremental: RunResult, static: RunResult) -> int | No
     Machine-independent counterpart of :func:`break_even_query` — this is
     the comparison that transfers directly to the paper's C++ setting,
     because it is immune to the NumPy-vs-interpreter constant factors that
-    skew small-scale wall-clock numbers (see EXPERIMENTS.md).
+    skew small-scale wall-clock numbers (docs/BENCH.md, "work model").
     """
     n = min(incremental.n_queries, static.n_queries)
     inc = incremental.cumulative_work()[:n]

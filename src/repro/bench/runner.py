@@ -104,7 +104,7 @@ class RunResult:
         """Cumulative rows touched after each query, optionally including
         build work.  Machine-independent analogue of
         :meth:`cumulative_seconds`, immune to the Python-vs-C++ constant
-        factors discussed in EXPERIMENTS.md."""
+        factors discussed in docs/BENCH.md (Scales)."""
         base = self.build_work if include_build else 0
         return base + np.cumsum(self.query_work())
 

@@ -12,8 +12,7 @@ The paper evaluates on two families of data (Section 6.1):
   builds the closest synthetic surrogate: a heavy-tailed Gaussian mixture
   of thin boxes plus a sparse uniform background.  The figures that use
   this dataset depend on its *skew* (grid configuration sensitivity,
-  clustered-query convergence), which the surrogate reproduces; see
-  DESIGN.md §4 for the substitution rationale.
+  clustered-query convergence), which the surrogate reproduces.
 
 All generators take an explicit ``seed`` and return a :class:`Dataset`
 bundling the :class:`~repro.datasets.store.BoxStore` with the universe box

@@ -42,7 +42,6 @@ from multiprocessing import resource_tracker
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, ParallelError
-from repro.index.base import MutableSpatialIndex
 from repro.parallel.shm import ShardSegment, publish_segment
 from repro.parallel.wire import decode_results, encode_queries
 from repro.parallel.worker import (
@@ -225,19 +224,14 @@ class ProcessPool:
         shards = self._index.shards
         for sid in sids:
             shard = shards[sid]
-            idx = shard.index
-            pending = (
-                idx.pending_updates()
-                if isinstance(idx, MutableSpatialIndex)
-                else 0
-            )
+            pending = shard.pending()
             segment = self._segments.get(sid)
             if segment is not None and segment.is_current(
                 shard, shard.store.epoch, pending
             ):
                 continue
-            if pending and isinstance(idx, MutableSpatialIndex):
-                idx.flush_updates()
+            if pending:
+                shard.flush()
             version = self._versions.get(sid, -1) + 1
             self._versions[sid] = version
             spec, shm = publish_segment(shard.store, sid, version)

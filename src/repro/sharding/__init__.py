@@ -10,11 +10,13 @@ intact:
   :class:`RoundRobinPartitioner` — build-time row splits and insert-time
   routing policies (:data:`PARTITIONERS` is the registry).
 * :class:`Shard` — one shard: a private :class:`BoxStore` copy, its own
-  index, and the MBB used for query pruning.
+  index, and the MBB used for query pruning.  A shard applies its own
+  writes and maintenance (``insert``/``delete``/``pending``/``flush``/
+  ``compact``), so the engine has one write path for every shard kind.
 * :class:`ShardedIndex` — the engine: the full
   :class:`~repro.index.base.MutableSpatialIndex` contract over K shards
   with pruned fan-out queries, merged + deduplicated results, and
-  ownership-routed inserts/deletes.
+  ownership-routed inserts/deletes handed to the owning shard.
 * :class:`QueryExecutor` / :class:`BatchResult` — batch execution
   through the engine's one dispatch pipeline, with per-shard
   sub-batches run inline or on a process pool.
@@ -33,7 +35,10 @@ intact:
   tier: R replicas per shard with least-loaded read routing, automatic
   failover, write application through the per-shard
   :class:`~repro.updates.ledger.UpdateLedger` (the replication stream),
-  and ledger-replay recovery with fingerprint verification.
+  and ledger-replay recovery with fingerprint verification.  It is a
+  different *shard* (overriding the shard write verbs), not a second
+  engine: the replicated engine reuses the base engine's routing,
+  compaction, and rebuild code.
 * :class:`FaultInjector` / :class:`Fault` — deterministic, seed-driven
   kill/stall/slow faults, ticked on the engine's routing path so
   failures are first-class test inputs.

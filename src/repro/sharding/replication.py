@@ -1,11 +1,11 @@
 """Replicated shard serving: R replicas per shard, faults, ledger recovery.
 
 QUASII's splitting fixes *data* hotspots; this module addresses the
-*traffic* hotspot splitting cannot fix (ROADMAP open item 2, the LiLIS
-framing): when queries concentrate on one tile, splitting it just moves
-the load, but serving the tile from R independent replicas divides it.
+*traffic* hotspot splitting cannot fix (the LiLIS framing): when
+queries concentrate on one tile, splitting it just moves the load, but
+serving the tile from R independent replicas divides it.
 
-Three pieces, each a first-class object rather than a monkeypatch:
+Four pieces, each a first-class object rather than a monkeypatch:
 
 * :class:`ReplicaSet` — R replicas of one shard, each a private
   :class:`~repro.datasets.store.BoxStore` plus its own index (replicas
@@ -23,14 +23,20 @@ Three pieces, each a first-class object rather than a monkeypatch:
   count.  It is ticked on the engine's routing path (exactly once per
   query or update, on the coordinating thread), so the same seed always
   produces the same failure interleaving — failures are test *inputs*.
+* :class:`ReplicatedShard` — a :class:`~repro.sharding.shard.Shard`
+  that owns its writes the replicated way: it overrides only the shard
+  verbs (``insert``/``delete`` go ledger-first through the
+  :class:`ReplicaSet`; ``flush``/``compact`` sweep every live replica
+  and report the primary's count) and the read seam
+  (:meth:`ReplicatedShard.serving_index`).
 * :class:`ReplicatedShardedIndex` — the :class:`ShardedIndex` engine
-  with every shard replaced by a :class:`ReplicatedShard`.  The whole
-  :class:`~repro.index.base.MutableSpatialIndex` contract (queries,
-  routed updates, compaction, rebalancing, migration) is preserved;
-  shard affinity extends to replicas because the serving replica is
-  picked once per shard per batch
-  (:meth:`ReplicatedShard.serving_index`), keeping every incremental
-  index single-writer.
+  building every shard as a :class:`ReplicatedShard` through the
+  engine's one ``_new_shard`` hook.  It adds only the fault, kill, and
+  recovery API plus a fault tick on each routed operation; routing,
+  compaction, flushing, and rebalancing are the base engine's own code.
+  Shard affinity extends to replicas because the serving replica is
+  picked once per shard per batch, keeping every incremental index
+  single-writer.
 
 The ledger-as-replication-stream invariant: every applied write is
 recorded in the shard's ledger *before* it reaches any replica, so the
@@ -47,11 +53,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.datasets.store import BoxStore
-from repro.errors import ConfigurationError, DatasetError, ReplicationError
-from repro.index.base import MutableSpatialIndex, SpatialIndex
+from repro.errors import ConfigurationError, ReplicationError
+from repro.index.base import SpatialIndex
 from repro.queries.query import Query
 from repro.queries.range_query import RangeQuery
-from repro.sharding.shard import Shard
+from repro.sharding.shard import Shard, compact_index, flush_index
 from repro.sharding.sharded_index import IndexFactory, ShardedIndex
 from repro.telemetry.events import EventLog
 from repro.updates.ledger import UpdateLedger
@@ -420,9 +426,8 @@ class ReplicaSet:
         if target.alive:
             return target
         replayed = self.ledger.log_length
-        for r in self.replicas:
-            if r.alive and isinstance(r.index, MutableSpatialIndex):
-                r.index.flush_updates()
+        for r in self.live_replicas():
+            flush_index(r.index)
         store = self.ledger.rebuild_store()
         self.ledger.assert_matches(store)
         peer = self.primary()
@@ -454,12 +459,16 @@ class ReplicaSet:
 
 
 class ReplicatedShard(Shard):
-    """A :class:`Shard` whose reads fan across a :class:`ReplicaSet`.
+    """A :class:`Shard` served by, and writing to, a :class:`ReplicaSet`.
 
     ``store``/``index`` always point at the current *primary* (lowest
-    live rid), so every maintenance/rebalancing consumer of the plain
-    shard contract keeps working unchanged; :meth:`serving_index`
-    overrides the read seam to pick the least-loaded live replica.
+    live rid), so reads of the plain shard contract (sizes, MBB,
+    rebalancing's row pooling) see one consistent copy.  The shard
+    verbs are overridden to act on the whole set: writes go ledger-first
+    to every live replica, ``flush``/``compact`` sweep every live
+    replica but report the primary's count, and :meth:`serving_index`
+    picks the least-loaded live replica for reads.  Dead replicas are
+    skipped throughout; recovery rebuilds them from the ledger.
     """
 
     __slots__ = ("replica_set",)
@@ -476,6 +485,49 @@ class ReplicatedShard(Shard):
     def serving_index(self) -> SpatialIndex:
         """The least-loaded live replica's index (failover routing)."""
         return self.replica_set.pick().index
+
+    def insert(self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray) -> None:
+        """Ledger-first insert into every live replica; grow the MBB."""
+        self.replica_set.apply_insert(lo, hi, ids)
+        self.expand(lo, hi)
+
+    def delete(self, ids: np.ndarray) -> None:
+        """Ledger-first delete from every live replica."""
+        self.replica_set.apply_delete(ids)
+
+    def flush(self) -> int:
+        """Flush every live replica; returns the primary's merged rows.
+
+        One logical count per shard, not R: the rows are the same rows
+        on every replica.  Every live replica is still flushed —
+        rebalancing pools rows from the primary's store, and recovery
+        fingerprints replicas against flushed peers.
+        """
+        flushed = 0
+        for r in self.replica_set.live_replicas():
+            if r.index is self.index:
+                flushed = super().flush()
+            else:
+                flush_index(r.index)
+        return flushed
+
+    def compact(self) -> int:
+        """Compact every live replica in lockstep; returns the primary's
+        reclaimed rows.
+
+        Replicas share one live multiset, so their dead fractions move
+        together; compacting them together keeps the reinsert-id gates
+        consistent across the set.  The primary goes through
+        :meth:`Shard.compact`, so the MBB re-tightens exactly when the
+        primary has nothing pending.
+        """
+        reclaimed = 0
+        for r in self.replica_set.live_replicas():
+            if r.index is self.index:
+                reclaimed = super().compact()
+            else:
+                compact_index(r.store, r.index)
+        return reclaimed
 
     def work_counter(self, name: str) -> int:
         """Fleet work summed across *all* replicas (dead ones included:
@@ -609,92 +661,35 @@ class ReplicatedShardedIndex(ShardedIndex):
             self._events.emit(kind, **payload)
 
     # ------------------------------------------------------------------
-    # Build
+    # Build: every shard is R replicas behind one ledger
     # ------------------------------------------------------------------
-    def _build_one_replica(
-        self,
-        rid: int,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        ids: np.ndarray,
-        via_insert: bool,
-    ) -> ShardReplica:
-        """One replica over a private copy of the rows.
-
-        ``via_insert`` mirrors :meth:`ShardedIndex.rebuild_shard`: a
-        mutable factory gets the start-empty/insert/flush path so the
-        batch lands bulk-loaded instead of as one coarse slice.
-        """
-        if via_insert:
-            d = self._store.ndim
-            empty = np.empty((0, d), dtype=np.float64)
-            shard_store, index = self._make_shard_index(
-                BoxStore(empty, empty.copy())
-            )
-            if isinstance(index, MutableSpatialIndex):
-                index.build()
-                if ids.size:
-                    index.insert(lo.copy(), hi.copy(), ids.copy())
-                    index.flush_updates()
-                return ShardReplica(rid, shard_store, index)
-        shard_store, index = self._make_shard_index(
-            BoxStore(lo.copy(), hi.copy(), ids.copy())
-        )
-        index.build()
-        return ShardReplica(rid, shard_store, index)
-
-    def _make_replicated_shard(
+    def _new_shard(
         self,
         sid: int,
         lo: np.ndarray,
         hi: np.ndarray,
         ids: np.ndarray,
-        via_insert: bool = False,
+        via_insert: bool,
     ) -> ReplicatedShard:
-        replicas = [
-            self._build_one_replica(rid, lo, hi, ids, via_insert)
-            for rid in range(self._replication)
-        ]
-        ledger = UpdateLedger(replicas[0].store)
+        """R replicas, each built exactly like a plain shard.
+
+        A fresh replica set starts fully live with a fresh ledger whose
+        base snapshot is exactly the row set, so a rebalancing rebuild
+        is a re-replication point: faults on the old set are wiped,
+        just as a rebuilt plain shard is a new index.
+        """
+        replicas: list[ShardReplica] = []
+        for rid in range(self._replication):
+            plain = super()._new_shard(sid, lo, hi, ids, via_insert)
+            replicas.append(ShardReplica(rid, plain.store, plain.index))
         replica_set = ReplicaSet(
             sid,
             replicas,
-            ledger,
+            UpdateLedger(replicas[0].store),
             factory=self._make_shard_index,
             on_event=self._emit_replica_event,
         )
         return ReplicatedShard(sid, replica_set)
-
-    def build(self) -> None:
-        """Partition the store and build R replicas per shard."""
-        if self._built:
-            return
-        store = self._store
-        rows = store.live_rows()
-        owners = self._partitioner.assign(
-            store.lo[rows], store.hi[rows], self._n_shards
-        )
-        for sid in range(self._n_shards):
-            mine = rows[owners == sid]
-            self._shards.append(
-                self._make_replicated_shard(
-                    sid,
-                    store.lo[mine].copy(),
-                    store.hi[mine].copy(),
-                    store.ids[mine].copy(),
-                )
-            )
-        copied = sum(s.store.n for s in self._shards)
-        if copied != rows.size:
-            raise ConfigurationError(
-                f"partitioner {self._partitioner.name!r} assigned {copied} "
-                f"of {rows.size} rows to shards 0..{self._n_shards - 1}"
-            )
-        ids = store.ids[rows]
-        self._owner = dict(zip(ids.tolist(), owners.tolist()))
-        self._seen_epoch = store.epoch
-        self._built = True
-        self.profile.rebaseline(self._shards)
 
     # ------------------------------------------------------------------
     # Fault seam: ticked on the routing path, applied on the coordinator
@@ -772,10 +767,7 @@ class ReplicatedShardedIndex(ShardedIndex):
         self.sync_shard_work()
         replica = shard.replica_set.recover(rid)
         shard.sync_primary()
-        for name in self._WORK_COUNTERS:
-            self._work_seen[name] = sum(
-                s.work_counter(name) for s in self._shards
-            )
+        self._rebaseline_work()
         return replica
 
     def recover_all(self) -> int:
@@ -787,161 +779,21 @@ class ReplicatedShardedIndex(ShardedIndex):
         return recovered
 
     # ------------------------------------------------------------------
-    # Reads: tick the fault clock exactly once per query
+    # Routed operations tick the fault clock exactly once each
     # ------------------------------------------------------------------
     def plan_shards(self, query: Query | RangeQuery) -> list[Shard]:
         self._tick_faults()
         return super().plan_shards(query)
 
-    # ------------------------------------------------------------------
-    # Writes: ledger-first application to every live replica
-    # ------------------------------------------------------------------
     def _insert(
         self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray | None
     ) -> np.ndarray:
-        if not self._built:
-            return self._store.append_validated(lo, hi, ids)
         self._tick_faults()
-        self._require_mutable_shards()
-        assigned = self._store.append_validated(lo, hi, ids)
-        if not assigned.size:
-            return assigned
-        stack_lo, stack_hi = self._mbb_stacks()
-        targets = self._partitioner.route(
-            lo,
-            hi,
-            stack_lo,
-            stack_hi,
-            np.asarray(self.shard_sizes(), dtype=np.int64),
-        )
-        for sid in np.unique(targets):
-            shard = self._replicated(int(sid))
-            mine = targets == sid
-            shard.replica_set.apply_insert(lo[mine], hi[mine], assigned[mine])
-            shard.expand(lo[mine], hi[mine])
-        self._stack_lo = self._stack_hi = None
-        for obj_id, sid in zip(assigned.tolist(), targets.tolist()):
-            self._owner[obj_id] = int(sid)
-        self.sync_shard_work()
-        return assigned
+        return super()._insert(lo, hi, ids)
 
     def _delete(self, ids: np.ndarray) -> int:
-        if not self._built:
-            return self._store.delete_ids(ids)
         self._tick_faults()
-        self._require_mutable_shards()
-        id_list = np.unique(ids).tolist()
-        missing = [i for i in id_list if i not in self._owner]
-        if missing:
-            raise DatasetError(
-                f"cannot delete ids not live in any shard: {missing[:5]}"
-            )
-        removed = self._store.delete_ids(np.asarray(id_list, dtype=np.int64))
-        by_shard: dict[int, list[int]] = {}
-        for obj_id in id_list:
-            by_shard.setdefault(self._owner.pop(obj_id), []).append(obj_id)
-        for sid, victims in by_shard.items():
-            self._replicated(sid).replica_set.apply_delete(
-                np.asarray(victims, dtype=np.int64)
-            )
-        self.sync_shard_work()
-        return removed
-
-    # ------------------------------------------------------------------
-    # Compaction / flush across replicas
-    # ------------------------------------------------------------------
-    def _compact_shard(self, shard: Shard) -> int:
-        """Compact every *live* replica of the shard together.
-
-        Replicas share one live multiset, so their dead fractions move
-        in lockstep; compacting them together keeps the reinsert-id
-        gates consistent across the set.  Dead replicas are skipped —
-        recovery rebuilds them tombstone-free anyway.  Returns the
-        primary's reclaimed count (the base class's accounting unit).
-        """
-        if not isinstance(shard, ReplicatedShard):
-            return super()._compact_shard(shard)
-        reclaimed = 0
-        primary_pending = 0
-        for r in shard.replica_set.replicas:
-            if not r.alive:
-                continue
-            index = r.index
-            if isinstance(index, MutableSpatialIndex):
-                got = index.compact()
-                pending = index.pending_updates()
-            else:
-                got = r.store.n_dead
-                if got:
-                    index.on_compaction(r.store.compact())
-                pending = 0
-            if index is shard.index:
-                reclaimed = got
-                primary_pending = pending
-        if reclaimed and primary_pending == 0:
-            shard.refresh_mbb()
-        return reclaimed
-
-    def flush_updates(self) -> int:
-        """Flush every live replica's buffer fleet-wide.
-
-        Returns the primary-replica total (one logical count per shard,
-        matching the base engine's accounting) while still physically
-        flushing every live replica — rebalancing pools rows from
-        primary stores, and recovery fingerprints replicas against
-        flushed peers.
-        """
-        if not self._built:
-            return 0
-        flushed = 0
-        for shard in self._shards:
-            if not isinstance(shard, ReplicatedShard):
-                continue
-            for r in shard.replica_set.replicas:
-                if r.alive and isinstance(r.index, MutableSpatialIndex):
-                    got = r.index.flush_updates()
-                    if r.index is shard.index:
-                        flushed += got
-        if flushed:
-            self.sync_shard_work()
-        return flushed
-
-    # ------------------------------------------------------------------
-    # Rebalancing verbs: whole replica sets move together
-    # ------------------------------------------------------------------
-    def migrate_into(
-        self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
-    ) -> None:
-        self._require_mutable_shards()
-        shard = self._replicated(sid)
-        shard.replica_set.apply_insert(lo, hi, ids)
-        shard.expand(lo, hi)
-        for obj_id in ids.tolist():
-            self._owner[int(obj_id)] = sid
-        self._stack_lo = self._stack_hi = None
-
-    def rebuild_shard(
-        self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
-    ) -> None:
-        """Replace shard ``sid`` with a fresh replica set over the rows.
-
-        The new set starts fully live with a fresh ledger whose base
-        snapshot is exactly the new row set — rebuilding is a
-        re-replication point, so any faults on the old set are wiped
-        (matching the base engine, where a rebuilt shard is a new
-        index).
-        """
-        self.sync_shard_work()
-        self._shards[sid] = self._make_replicated_shard(
-            sid, lo.copy(), hi.copy(), ids.copy(), via_insert=True
-        )
-        for obj_id in ids.tolist():
-            self._owner[int(obj_id)] = sid
-        for name in self._WORK_COUNTERS:
-            self._work_seen[name] = sum(
-                s.work_counter(name) for s in self._shards
-            )
-        self._stack_lo = self._stack_hi = None
+        return super()._delete(ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -8,8 +8,17 @@ pruning; the MBB is exact at build time, *expands* when routed inserts
 arrive (covering rows an index may still hold in its update buffer), and
 deliberately never shrinks on delete (a loose MBB is conservative: it
 can only cost a wasted visit, never a missed result).  Compaction is the
-moment the looseness is paid off: :meth:`Shard.refresh_mbb` re-tightens
-the pruning box to the surviving live rows once the dead ones are gone.
+moment the looseness is paid off: :meth:`Shard.compact` re-tightens the
+pruning box to the surviving live rows once the dead ones are gone.
+
+A shard also owns its writes: the engine routes a batch and hands it to
+:meth:`Shard.insert` / :meth:`Shard.delete`, and maintenance drives
+:meth:`Shard.pending` / :meth:`Shard.flush` / :meth:`Shard.compact`.
+Whether the shard's index can take writes at all is answered here and
+nowhere else, so a replicated shard
+(:class:`~repro.sharding.replication.ReplicatedShard`) changes *how* a
+write is applied by overriding these verbs, while the engine keeps one
+write and maintenance path for every kind of shard.
 """
 
 from __future__ import annotations
@@ -17,9 +26,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.store import BoxStore
-from repro.index.base import SpatialIndex
+from repro.index.base import MutableSpatialIndex, SpatialIndex
 
 _INF = float("inf")
+
+
+def flush_index(index: SpatialIndex) -> int:
+    """Merge ``index``'s update buffer now; returns the rows merged."""
+    if isinstance(index, MutableSpatialIndex):
+        return index.flush_updates()
+    return 0
+
+
+def compact_index(store: BoxStore, index: SpatialIndex) -> int:
+    """Drop ``store``'s tombstones under ``index``; returns the rows dropped."""
+    if isinstance(index, MutableSpatialIndex):
+        return index.compact()
+    # Immutable shard indexes cannot have routed deletes, but a
+    # factory-supplied store may carry tombstones from day one.
+    reclaimed = store.n_dead
+    if reclaimed:
+        index.on_compaction(store.compact())
+    return reclaimed
 
 
 class Shard:
@@ -106,6 +134,46 @@ class Shard:
         if lo.shape[0]:
             self.mbb_lo = np.minimum(self.mbb_lo, lo.min(axis=0))
             self.mbb_hi = np.maximum(self.mbb_hi, hi.max(axis=0))
+
+    # ------------------------------------------------------------------
+    # Writes and maintenance: the verbs the engine drives
+    # ------------------------------------------------------------------
+    @property
+    def writable(self) -> bool:
+        """Whether this shard's index accepts inserts and deletes."""
+        return isinstance(self.index, MutableSpatialIndex)
+
+    def insert(self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray) -> None:
+        """Apply a routed insert batch and grow the MBB to cover it."""
+        self.index.insert(lo, hi, ids)
+        self.expand(lo, hi)
+
+    def delete(self, ids: np.ndarray) -> None:
+        """Apply a routed delete batch (the MBB stays loose)."""
+        self.index.delete(ids)
+
+    def pending(self) -> int:
+        """Rows routed here but still staged in the update buffer."""
+        if isinstance(self.index, MutableSpatialIndex):
+            return self.index.pending_updates()
+        return 0
+
+    def flush(self) -> int:
+        """Merge the update buffer now; returns the rows merged."""
+        return flush_index(self.index)
+
+    def compact(self) -> int:
+        """Drop the store's tombstones and re-tighten the MBB.
+
+        Returns the rows reclaimed.  Buffered (not yet drained) inserts
+        are covered by the MBB but invisible to the store, so the MBB is
+        re-derived only once nothing is pending — otherwise pruning
+        could skip a staged match.
+        """
+        reclaimed = compact_index(self.store, self.index)
+        if reclaimed and self.pending() == 0:
+            self.refresh_mbb()
+        return reclaimed
 
     def memory_bytes(self) -> int:
         """Footprint of the shard's private store copy plus its index."""

@@ -302,6 +302,45 @@ class ShardedIndex(MutableSpatialIndex):
             )
         return shard_store, index
 
+    def _new_shard(
+        self,
+        sid: int,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        ids: np.ndarray,
+        via_insert: bool,
+    ) -> Shard:
+        """Shard ``sid`` over a private copy of the rows, index built.
+
+        The one shard-construction hook: :meth:`build` and
+        :meth:`rebuild_shard` both call it, and a replicated engine
+        overrides it to wrap several such shards into one replica set.
+
+        With ``via_insert`` a mutable factory gets the start-empty,
+        insert, flush path: a large batch then lands as an STR
+        bulk-loaded, already-refined run (``bulk_flush_threshold``)
+        instead of one coarse slice, so queries after a rebuild do not
+        re-crack the shard from scratch on the serving path.  Immutable
+        factories (and plain builds) get one ``build()`` over the
+        populated store.
+        """
+        if via_insert:
+            empty = np.empty((0, self._store.ndim), dtype=np.float64)
+            shard = Shard(
+                sid, *self._make_shard_index(BoxStore(empty, empty.copy()))
+            )
+            if shard.writable:
+                shard.index.build()
+                if ids.size:
+                    shard.insert(lo.copy(), hi.copy(), ids.copy())
+                    shard.flush()
+                return shard
+        shard_store, index = self._make_shard_index(
+            BoxStore(lo.copy(), hi.copy(), ids.copy())
+        )
+        index.build()
+        return Shard(sid, shard_store, index)
+
     def build(self) -> None:
         """Partition the store's live rows and build one index per shard."""
         if self._built:
@@ -311,15 +350,15 @@ class ShardedIndex(MutableSpatialIndex):
         owners = self._partitioner.assign(store.lo[rows], store.hi[rows], self._n_shards)
         for sid in range(self._n_shards):
             mine = rows[owners == sid]
-            shard_store, index = self._make_shard_index(
-                BoxStore(
-                    store.lo[mine].copy(),
-                    store.hi[mine].copy(),
-                    store.ids[mine].copy(),
+            self._shards.append(
+                self._new_shard(
+                    sid,
+                    store.lo[mine],
+                    store.hi[mine],
+                    store.ids[mine],
+                    via_insert=False,
                 )
             )
-            index.build()
-            self._shards.append(Shard(sid, shard_store, index))
         copied = sum(s.store.n for s in self._shards)
         if copied != rows.size:
             raise ConfigurationError(
@@ -610,10 +649,8 @@ class ShardedIndex(MutableSpatialIndex):
             np.asarray(self.shard_sizes(), dtype=np.int64),
         )
         for sid in np.unique(targets):
-            shard = self._shards[int(sid)]
             mine = targets == sid
-            shard.index.insert(lo[mine], hi[mine], assigned[mine])
-            shard.expand(lo[mine], hi[mine])
+            self._shards[int(sid)].insert(lo[mine], hi[mine], assigned[mine])
         self._stack_lo = self._stack_hi = None
         for obj_id, sid in zip(assigned.tolist(), targets.tolist()):
             self._owner[obj_id] = int(sid)
@@ -623,7 +660,7 @@ class ShardedIndex(MutableSpatialIndex):
     def _require_mutable_shards(self) -> None:
         """Raise before any mutation if the fleet cannot absorb updates."""
         for shard in self._shards:
-            if not isinstance(shard.index, MutableSpatialIndex):
+            if not shard.writable:
                 raise ConfigurationError(
                     f"shard index {shard.index.name!r} does not support "
                     "updates; use a MutableSpatialIndex factory"
@@ -646,7 +683,7 @@ class ShardedIndex(MutableSpatialIndex):
         for obj_id in id_list:
             by_shard.setdefault(self._owner.pop(obj_id), []).append(obj_id)
         for sid, victims in by_shard.items():
-            self._shards[sid].index.delete(np.asarray(victims, dtype=np.int64))
+            self._shards[sid].delete(np.asarray(victims, dtype=np.int64))
         self.sync_shard_work()
         return removed
 
@@ -681,33 +718,13 @@ class ShardedIndex(MutableSpatialIndex):
         The engine itself holds no physical positions into the ingest
         mirror (ownership is id-keyed), so the mirror's remap needs no
         translation here; each shard compacts its *private* store
-        through its own index hook, and the stacked pruning MBBs are
+        (:meth:`Shard.compact`), and the stacked pruning MBBs are
         rebuilt from the re-tightened shards.
         """
         for shard in self._shards:
-            self._compact_shard(shard)
+            shard.compact()
         self._stack_lo = self._stack_hi = None
         self.sync_shard_work()
-
-    def _compact_shard(self, shard: Shard) -> int:
-        """Compact one shard's private store and re-tighten its MBB."""
-        index = shard.index
-        if isinstance(index, MutableSpatialIndex):
-            reclaimed = index.compact()
-            pending = index.pending_updates()
-        else:
-            # Immutable shard indexes cannot have routed deletes, but a
-            # factory-supplied store may carry tombstones from day one.
-            reclaimed = shard.store.n_dead
-            if reclaimed:
-                index.on_compaction(shard.store.compact())
-            pending = 0
-        if reclaimed and pending == 0:
-            # Buffered (not yet drained) inserts are covered by the MBB
-            # but invisible to the store; only re-tighten once nothing
-            # is pending, or pruning could skip a staged match.
-            shard.refresh_mbb()
-        return reclaimed
 
     def maybe_compact(self, dead_fraction: float = 0.3) -> int:
         """Policy-driven compaction; returns the logical rows reclaimed.
@@ -734,7 +751,7 @@ class ShardedIndex(MutableSpatialIndex):
         compacted = 0
         for shard in self._shards:
             if shard.store.n and shard.dead_fraction > dead_fraction:
-                compacted += self._compact_shard(shard)
+                compacted += shard.compact()
         reclaimed = 0
         mirror = self._store
         if mirror.n and mirror.n_dead / mirror.n > dead_fraction:
@@ -749,11 +766,7 @@ class ShardedIndex(MutableSpatialIndex):
 
     def pending_updates(self) -> int:
         """Rows staged in shard-level update buffers, fleet-wide."""
-        return sum(
-            s.index.pending_updates()
-            for s in self._shards
-            if isinstance(s.index, MutableSpatialIndex)
-        )
+        return sum(s.pending() for s in self._shards)
 
     def flush_updates(self) -> int:
         """Force every shard's pending buffer into its structure now.
@@ -766,11 +779,7 @@ class ShardedIndex(MutableSpatialIndex):
         """
         if not self._built:
             return 0
-        flushed = sum(
-            s.index.flush_updates()
-            for s in self._shards
-            if isinstance(s.index, MutableSpatialIndex)
-        )
+        flushed = sum(s.flush() for s in self._shards)
         if flushed:
             self.sync_shard_work()
         return flushed
@@ -783,73 +792,42 @@ class ShardedIndex(MutableSpatialIndex):
     # and therefore the ledger/fingerprint invariants are preserved by
     # construction.  rebuild_shard + finish_rebalance are the engine
     # half of a :class:`~repro.sharding.rebalancer.Rebalancer` pass;
-    # migrate_into is the standalone targeted-migration primitive for
-    # policies that move a row subset without rebuilding the target
-    # (e.g. the ROADMAP's scan-waste-driven migrations).
-
-    def migrate_into(
-        self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
-    ) -> None:
-        """Adopt already-owned rows into shard ``sid`` without a rebuild.
-
-        The rows must currently live in *other* shards' stores (the
-        caller is responsible for rebuilding those without the rows);
-        ownership is rewritten here and the target shard's pruning MBB
-        expands to cover the batch immediately.
-        """
-        self._require_mutable_shards()
-        shard = self._shards[sid]
-        shard.index.insert(lo, hi, ids)
-        shard.expand(lo, hi)
-        for obj_id in ids.tolist():
-            self._owner[int(obj_id)] = sid
-        self._stack_lo = self._stack_hi = None
+    # rebuild_shard builds the replacement through the same _new_shard
+    # hook as build(), so replicated engines re-replicate for free.
 
     def rebuild_shard(
         self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
     ) -> None:
         """Replace shard ``sid`` with a fresh store+index over the rows.
 
-        Mutable shard indexes are rebuilt through their own insert/flush
-        path (start-empty, insert the batch, force the merge): a large
-        batch then lands as an STR bulk-loaded, already-refined run
-        (``bulk_flush_threshold``) instead of one coarse slice, so
-        post-rebuild queries do not re-crack the shard from scratch on
-        the serving path.  Immutable factories fall back to a plain
-        build over the populated store.
-
-        The shard's pruning MBB is re-derived from the new store (not
-        inherited — a stale MBB would mis-route the very next
-        least-enlargement insert), ownership is rewritten for every row,
-        the stacked routing MBBs are invalidated, and the fleet work
-        totals are recalibrated so :meth:`sync_shard_work` never sees a
-        negative delta from the discarded index's counters.
+        Built by :meth:`_new_shard` through the insert/flush path, so a
+        large batch lands bulk-loaded.  The shard's pruning MBB is
+        re-derived from the new rows (not inherited — a stale MBB would
+        mis-route the very next least-enlargement insert), ownership is
+        rewritten for every row, the stacked routing MBBs are
+        invalidated, and the fleet work totals are recalibrated so
+        :meth:`sync_shard_work` never sees a negative delta from the
+        discarded index's counters.
         """
         # Fold the outgoing index's unsynced work before discarding it.
         self.sync_shard_work()
-        d = self._store.ndim
-        empty = np.empty((0, d), dtype=np.float64)
-        shard_store, index = self._make_shard_index(BoxStore(empty, empty.copy()))
-        if isinstance(index, MutableSpatialIndex):
-            index.build()
-            if ids.size:
-                index.insert(lo.copy(), hi.copy(), ids.copy())
-                index.flush_updates()
-        else:
-            # The cheap empty-store probe only told us the factory is
-            # immutable; build the real index over the populated store.
-            shard_store, index = self._make_shard_index(
-                BoxStore(lo.copy(), hi.copy(), ids.copy())
-            )
-            index.build()
-        self._shards[sid] = Shard(sid, shard_store, index)
+        self._shards[sid] = self._new_shard(sid, lo, hi, ids, via_insert=True)
         for obj_id in ids.tolist():
             self._owner[int(obj_id)] = sid
+        self._rebaseline_work()
+        self._stack_lo = self._stack_hi = None
+
+    def _rebaseline_work(self) -> None:
+        """Re-read the fleet work totals after a shard index was replaced.
+
+        The replacement starts with zeroed counters; without this,
+        :meth:`sync_shard_work` would see a negative delta.  Callers fold
+        the outgoing index's unsynced work first.
+        """
         for name in self._WORK_COUNTERS:
             self._work_seen[name] = sum(
                 s.work_counter(name) for s in self._shards
             )
-        self._stack_lo = self._stack_hi = None
 
     def finish_rebalance(self, rows_migrated: int) -> None:
         """Seal a rebalancing pass: counters, profile baseline, MBBs."""

@@ -1,9 +1,10 @@
 """Integration: every index returns exactly the Scan results, always.
 
-This is invariant #1 of DESIGN.md — the strongest end-to-end check the
-library has.  Each index runs over shared query sequences on both dataset
-families, including mixed selectivities, boundary-hugging windows, and
-degenerate windows.
+This is the oracle-agreement invariant of docs/ARCHITECTURE.md ("The
+invariants") — the strongest end-to-end check the library has.  Each
+index runs over shared query sequences on both dataset families,
+including mixed selectivities, boundary-hugging windows, and degenerate
+windows.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Integration: incremental indexes converge (DESIGN.md invariant #6).
+"""Integration: incremental indexes converge.
 
 After enough queries in a region, further queries there must perform zero
 reorganization, and incremental work must shrink monotonically in

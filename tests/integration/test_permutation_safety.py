@@ -1,6 +1,7 @@
 """Integration: incremental indexes only ever *permute* the data array.
 
-Invariant #2 of DESIGN.md — whatever queries run, the multiset of
+The live-multiset invariant of docs/ARCHITECTURE.md ("The invariants")
+under the permutation mutation — whatever queries run, the multiset of
 (id, box) rows in the store never changes, and static index structures
 never mutate the store at all.
 """

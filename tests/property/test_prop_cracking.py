@@ -1,4 +1,5 @@
-"""Property tests for the cracking kernels (DESIGN.md invariant #4)."""
+"""Property tests for the cracking kernels (the permutation mutation of
+docs/ARCHITECTURE.md's four-mutation model)."""
 
 from __future__ import annotations
 

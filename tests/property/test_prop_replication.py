@@ -2,7 +2,7 @@
 
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 window queries, insert batches, delete batches, compactions, replica
-kills, and ledger-replay recoveries against a
+kills, ledger-replay recoveries, and forced rebalancing passes against a
 :class:`ReplicatedShardedIndex` for R ∈ {1, 2, 3} and K ∈ {1, 2, 7}.
 Invariants that must survive every interleaving:
 
@@ -15,6 +15,10 @@ Invariants that must survive every interleaving:
   ``UpdateLedger.assert_matches`` and carries the same order-insensitive
   live fingerprint as its surviving peers; once every replica is live
   the shard ledger's op log is truncated.
+* **Rebalance re-replication** — a forced ``"balance"`` pass (K >= 2)
+  keeps oracle agreement and ownership, and every shard it rebuilt comes
+  back with R live replicas sharing one live fingerprint, each matching
+  the shard's fresh ledger.
 * **Replica lockstep** — at the end of the run (after recovering the
   whole fleet and flushing), every shard's replicas hold identical live
   multisets, and the engine's ownership map still validates.
@@ -32,7 +36,7 @@ from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.geometry import Box
 from repro.queries import RangeQuery
-from repro.sharding import ReplicatedShard, ReplicatedShardedIndex
+from repro.sharding import Rebalancer, ReplicatedShard, ReplicatedShardedIndex
 from repro.updates import UpdateLedger
 
 UNIVERSE_SIDE = 100.0
@@ -54,7 +58,7 @@ def dataset_and_ops(draw, ndim=2):
         kind = draw(
             st.sampled_from(
                 ["query", "query", "insert", "delete", "compact", "kill",
-                 "kill", "recover"]
+                 "kill", "recover", "rebalance"]
             )
         )
         if kind == "query":
@@ -185,6 +189,27 @@ def test_replication_preserves_all_invariants(replication, n_shards, case):
             # Failover: the shard contract fields point at a live primary.
             primary = shard.replica_set.primary()
             assert primary is not None and shard.index is primary.index
+        elif kind == "rebalance":
+            if n_shards < 2:
+                continue
+            result = Rebalancer().rebalance(engine, reason="balance")
+            full = _full_window(2)
+            expect = np.sort(scan.query(full))
+            assert np.array_equal(np.sort(engine.query(full)), expect), (
+                "rebalance changed the engine's answer set"
+            )
+            engine.validate_routing()
+            for sid in (result.hot_sid, result.cold_sid):
+                rs = engine.shards[sid].replica_set
+                # A rebuilt shard is a re-replication point: old faults
+                # are wiped and the fresh ledger seeds every replica.
+                assert len(rs.live_replicas()) == replication
+                for rid in range(replication):
+                    frozen.pop((sid, rid), None)
+                fps = {r.store.live_fingerprint() for r in rs.replicas}
+                assert len(fps) == 1, f"rebuilt shard {sid} replicas diverged"
+                for r in rs.replicas:
+                    rs.ledger.assert_matches(r.store)
         else:  # recover: replay the lowest dead replica back to life
             dead = sorted(engine.dead_replicas())
             if not dead:

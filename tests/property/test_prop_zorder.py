@@ -1,4 +1,4 @@
-"""Property tests for the Z-order substrate (DESIGN.md invariant #5)."""
+"""Property tests for the Z-order substrate."""
 
 from __future__ import annotations
 

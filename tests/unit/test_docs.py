@@ -32,3 +32,22 @@ def test_observability_vocabulary_is_documented_both_ways():
 
 def test_lint_rule_table_matches_the_registry_both_ways():
     assert check_docs.check_analysis_docs() == []
+
+
+def test_code_mentions_of_markdown_files_resolve():
+    assert check_docs.check_md_mentions() == []
+
+
+def test_a_dangling_markdown_mention_is_reported(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "BENCH.md").write_text("# bench\n", encoding="utf-8")
+    (tmp_path / "src").mkdir()
+    # Built from parts so this test file itself mentions no missing doc.
+    missing = "NO_SUCH_DOC"
+    (tmp_path / "src" / "mod.py").write_text(
+        f'"""See docs/BENCH.md, BENCH.md, and {missing}.md."""\n',
+        encoding="utf-8",
+    )
+    assert check_docs.check_md_mentions(tmp_path) == [
+        f"src/mod.py: mentions missing file {missing}.md"
+    ]

@@ -245,18 +245,6 @@ class TestEngineMigrationVerbs:
         assert index.stats.merges == merges_before + 1
         assert index.pending_updates() == 0
 
-    def test_migrate_into_rewrites_ownership_and_expands_mbb(self):
-        engine = ShardedIndex(_grid_store(), n_shards=2)
-        engine.build()
-        source = engine.shards[0].store
-        rows = source.live_rows()[:3]
-        lo, hi = source.lo[rows].copy(), source.hi[rows].copy()
-        ids = source.ids[rows].copy()
-        engine.migrate_into(1, lo, hi, ids)
-        for obj_id in ids:
-            assert engine.owner_of(int(obj_id)) == 1
-        assert np.all(engine.shards[1].mbb_lo <= lo.min(axis=0))
-
     def test_rebuild_shard_recalibrates_work_counters(self):
         engine = ShardedIndex(_grid_store(), n_shards=2)
         engine.build()

@@ -304,6 +304,111 @@ class TestCompactionAcrossReplicas:
             assert len({s.live_fingerprint() for s in stores}) == 1
 
 
+def _insert_one(engine, lo) -> int:
+    """Insert one unit box at ``lo``; returns the owning shard's sid."""
+    blo = np.array([lo], dtype=np.float64)
+    (new_id,) = engine.insert(blo, blo + 1.0).tolist()
+    return engine.owner_of(new_id)
+
+
+def _delete_some(engine, sid: int, count: int) -> None:
+    """Delete ``count`` stored live rows of shard ``sid``."""
+    store = engine.shards[sid].store
+    engine.delete(store.ids[store.live_rows()[:count]].copy())
+
+
+class TestFlushAndCompactionAccounting:
+    def test_flush_counts_one_logical_row_per_shard(self):
+        engine = _replicated(n_shards=2, replication=3)
+        engine.insert(
+            np.array([[1.2, 1.2], [13.2, 13.2]]),
+            np.array([[2.0, 2.0], [14.0, 14.0]]),
+        )
+        assert engine.pending_updates() == 2
+        # Every live replica merges its buffer, but the engine reports
+        # each logical row once, not once per replica.
+        assert engine.flush_updates() == 2
+        assert engine.pending_updates() == 0
+        for shard in engine.shards:
+            for r in shard.replica_set.replicas:
+                assert r.index.pending_updates() == 0
+
+    def test_maybe_compact_compacts_live_replicas_in_lockstep(self):
+        engine = _replicated(n_shards=2, replication=3)
+        _delete_some(engine, 0, 8)
+        engine.maybe_compact(dead_fraction=0.2)
+        compacted = engine.shards[0].replica_set.replicas
+        assert all(r.store.n_dead == 0 for r in compacted)
+        assert all(r.index.stats.compactions == 1 for r in compacted)
+        assert len({r.store.live_fingerprint() for r in compacted}) == 1
+        # The untouched shard stays below the threshold on every replica.
+        for r in engine.shards[1].replica_set.replicas:
+            assert r.index.stats.compactions == 0
+
+    def test_mbb_retightens_when_the_primary_has_nothing_pending(self):
+        engine = _replicated(n_shards=2, replication=2)
+        shard = engine.shards[0]
+        store = shard.store
+        live = store.live_rows()
+        edge = store.lo[live, 0].max()
+        engine.delete(store.ids[live[store.lo[live, 0] == edge]].copy())
+        engine.compact()
+        bounds = shard.store.bounds()
+        assert np.array_equal(shard.mbb_lo, np.asarray(bounds.lo))
+        assert np.array_equal(shard.mbb_hi, np.asarray(bounds.hi))
+        assert shard.mbb_hi[0] < edge + 1.0
+
+    def test_mbb_stays_loose_while_the_primary_has_rows_pending(self):
+        engine = _replicated(n_shards=2, replication=2)
+        sid = _insert_one(engine, (40.0, 40.0))
+        shard = engine.shards[sid]
+        rs = shard.replica_set
+        # Route reads away from the primary: the serving secondary
+        # drains its buffer, the primary keeps the row staged.
+        engine.slow_replica(sid, 0, 100.0)
+        engine.query(_window((39.0, 39.0), (42.0, 42.0)))
+        assert rs.replicas[0].index.pending_updates() == 1
+        assert rs.replicas[1].index.pending_updates() == 0
+        _delete_some(engine, sid, 4)
+        assert engine.compact() == 4
+        # Primary still pending: the MBB must keep covering the row.
+        assert np.all(shard.mbb_hi >= 41.0)
+        assert shard.mbb_hi[0] > shard.store.bounds().hi[0]
+
+    def test_mbb_follows_the_primary_even_if_a_secondary_is_pending(self):
+        engine = _replicated(n_shards=2, replication=2)
+        sid = _insert_one(engine, (40.0, 40.0))
+        shard = engine.shards[sid]
+        rs = shard.replica_set
+        engine.slow_replica(sid, 1, 100.0)
+        engine.query(_window((39.0, 39.0), (42.0, 42.0)))
+        assert rs.replicas[0].index.pending_updates() == 0
+        assert rs.replicas[1].index.pending_updates() == 1
+        _delete_some(engine, sid, 4)
+        engine.compact()
+        # Re-tightened from the primary's store, which holds the row.
+        bounds = shard.store.bounds()
+        assert np.array_equal(shard.mbb_hi, np.asarray(bounds.hi))
+        assert np.all(shard.mbb_hi >= 41.0)
+
+    def test_dead_replicas_are_skipped(self):
+        engine = _replicated(n_shards=2, replication=3)
+        sid = _insert_one(engine, (4.2, 4.2))
+        _delete_some(engine, sid, 6)
+        engine.kill_replica(sid, 2)
+        rs = engine.shards[sid].replica_set
+        dead = rs.replicas[2]
+        assert engine.flush_updates() == 1
+        assert engine.compact() == 6
+        assert dead.index.pending_updates() == 1
+        assert dead.store.n_dead == 6
+        assert dead.index.stats.compactions == 0
+        for r in rs.live_replicas():
+            assert r.index.pending_updates() == 0
+            assert r.store.n_dead == 0
+            assert r.index.stats.compactions == 1
+
+
 class TestTelemetry:
     def test_all_emitted_kinds_are_canonical(self):
         events = EventLog()

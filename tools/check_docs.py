@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by CI and the test suite).
 
-Four checks, all filesystem/CLI-only:
+Seven checks, all filesystem/CLI-only:
 
 1. **Internal links resolve** — every relative markdown link in
    ``README.md`` and ``docs/*.md`` points at a file that exists.
@@ -24,6 +24,10 @@ Four checks, all filesystem/CLI-only:
    matches the ``tools/analysis`` rule registry in both directions, so
    a quasii-lint rule cannot ship undocumented and a doc row cannot
    outlive its rule.
+7. **Code mentions of markdown files resolve** — every ``*.md`` name a
+   ``.py`` file under ``src/``, ``tests/``, or ``tools/`` mentions (in
+   a docstring, comment, or string) names a file in the repo, so code
+   cannot point readers at a document that does not exist.
 
 Exit status 0 when everything holds; 1 with a per-problem report
 otherwise.  Run from the repository root::
@@ -59,6 +63,12 @@ _NAME_ROW = re.compile(r"^\| `([a-z0-9_.]+)` \|", re.MULTILINE)
 _ENDPOINT_ROW = re.compile(r"^\| `(/[a-z0-9_./-]*)` \|", re.MULTILINE)
 #: Lint rule ids are uppercase, disjoint from every charset above.
 _RULE_ROW = re.compile(r"^\| `(QL\d{3})` \|", re.MULTILINE)
+
+#: Source trees whose ``.py`` files may only mention existing ``*.md``.
+MD_MENTION_ROOTS = ("src", "tests", "tools")
+
+#: A markdown file name, optionally with a relative directory prefix.
+_MD_MENTION = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 
 
 def check_links() -> list[str]:
@@ -189,6 +199,37 @@ def check_analysis_docs() -> list[str]:
     return problems
 
 
+def check_md_mentions(repo: Path = REPO) -> list[str]:
+    """``*.md`` names mentioned in code must resolve to repo files.
+
+    A mention resolves when some markdown file's repo-relative path
+    equals it or ends with it after a ``/`` — so ``BENCH.md``,
+    ``docs/BENCH.md``, and ``README.md`` all count, while a name no
+    file carries does not.  Hidden directories are ignored on both
+    sides.
+    """
+
+    def visible(path: Path) -> bool:
+        return not any(p.startswith(".") for p in path.relative_to(repo).parts)
+
+    docs = {
+        p.relative_to(repo).as_posix()
+        for p in repo.rglob("*.md")
+        if visible(p)
+    }
+    problems = []
+    for root in MD_MENTION_ROOTS:
+        for source in sorted((repo / root).rglob("*.py")):
+            if not visible(source):
+                continue
+            text = source.read_text(encoding="utf-8")
+            for name in sorted(set(_MD_MENTION.findall(text))):
+                if not any(d == name or d.endswith("/" + name) for d in docs):
+                    rel = source.relative_to(repo).as_posix()
+                    problems.append(f"{rel}: mentions missing file {name}")
+    return problems
+
+
 def main() -> int:
     problems = (
         check_links()
@@ -196,6 +237,7 @@ def main() -> int:
         + check_cli_help()
         + check_observability_docs()
         + check_analysis_docs()
+        + check_md_mentions()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -204,8 +246,9 @@ def main() -> int:
         return 1
     print(
         "docs-check: README/docs links, BENCH.md verbs, CLI help, "
-        "OBSERVABILITY.md metric/span/event/endpoint tables, and the "
-        "ANALYSIS.md lint-rule table all consistent"
+        "OBSERVABILITY.md metric/span/event/endpoint tables, the "
+        "ANALYSIS.md lint-rule table, and code mentions of *.md files "
+        "all consistent"
     )
     return 0
 
